@@ -44,6 +44,9 @@ RationalLike = Union[Fraction, int]
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Divided out of prime_factors' input before any cofactor is tested or split.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
@@ -183,37 +186,67 @@ def partial_height_plus(
     return total
 
 
-_TRIAL_LIMIT = 1_000_000
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of an odd composite n.
+
+    Brent's variant of Pollard's rho (Brent 1980, "An improved Monte Carlo
+    factorization algorithm", BIT 20): iterate x -> x^2 + c mod n, batching
+    the gcd over 128 differences, and retry with the next c when the cycle
+    closes on n itself.  Deterministic: c runs 1, 2, 3, ...
+    """
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor a (small) nonzero integer into {prime: exponent}.
+    """Factor a nonzero integer into {prime: exponent}, in increasing order.
 
-    Trial division up to 1e6 plus a primality check on the cofactor; meant for
-    step-measure coefficients, not for large composites.
+    Small primes go by trial division; every cofactor left is either prime
+    (Miller-Rabin) or split by Pollard-Brent rho until all parts are prime.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3):
-        v = _int_valuation(n, p)
-        if v and n > 1:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            v = _int_valuation(n, p)
             out[p] = v
             n //= p**v
-    d = 5
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        for step in (d, d + 2):
-            if n % step == 0:
-                v = _int_valuation(n, step)
-                out[step] = v
-                n //= step**v
-        d += 6
-    if n > 1:
-        if not is_prime(n):
-            raise ValueError(f"cofactor {n} is composite and beyond trial division")
-        out[n] = out.get(n, 0) + 1
-    return out
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _rho_factor(m)
+        todo += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def support_primes(q: RationalLike) -> set[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BudgetError
+from .errors import BudgetError, StabilizationError
 from .exact import (
     INFINITE_PLACE,
     Place,
@@ -30,7 +30,6 @@ from .group import gauge_count_bound, gauge_enumerate
 from .measure import (
     DEFAULT_CELL_BUDGET,
     StepDistribution,
-    DriftProfile,
     convolve,
     drift,
     drift_profile,
@@ -42,8 +41,14 @@ from .measure import (
     validate,
 )
 from .padic import ball_key_exact
-from .prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
-from .walk import DEFAULT_MARGIN, _Walker, _min_translation_valuation
+from .prng import replica_seed
+from .walk import (
+    DEFAULT_MARGIN,
+    DEFAULT_STEP_CAP,
+    _encode,
+    _min_translation_valuation,
+    _Walker,
+)
 
 __all__ = [
     "Row",
@@ -272,7 +277,7 @@ def run_walk(
     mu: StepDistribution, n: int, seed: int, primes: Sequence[int] = ()
 ) -> Report:
     """Dump one trajectory's growth statistics (plot-ready)."""
-    walker = _Walker(mu, seed)
+    walker = _Walker(_encode(mu), seed)
     rows = []
 
     def snapshot(m: int):
@@ -308,21 +313,14 @@ def run_walk(
 
 @_replica_fn("lln41")
 def _lln41_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
-    grid: Sequence[int] = params["n_grid"]
-    profile: DriftProfile = drift_profile(mu)
-    targets = {n: q_approximant(profile, n) for n in grid}
-    n_max = max(grid)
-    atoms = mu.support
-    thresholds = cumulative_thresholds(mu.weights)
-    rng = SplitMix64(seed)
-    a = Fraction(1)
+    targets: dict[int, Fraction] = params["targets"]
+    walker = _Walker(params["encoding"], seed)
     rows = []
-    for m in range(1, n_max + 1):
-        a *= atoms[pick_index(rng.next_u64(), thresholds)].a
+    for m in range(1, max(targets) + 1):
+        walker.step()
         if m in targets:
-            rows.append(
-                Row("lln41", "", m, seed, "height_ratio", height(targets[m] / a) / m)
-            )
+            ratio = height(targets[m] / walker.a) / m
+            rows.append(Row("lln41", "", m, seed, "height_ratio", ratio))
     return rows
 
 
@@ -336,7 +334,11 @@ def run_lln41(
 ) -> Report:
     """Monte Carlo decay of height(A_n^(-1) q_n)/n along the grid."""
     grid = sorted(set(n_grid))
-    params = {"n_grid": grid}
+    profile = drift_profile(mu)
+    params = {
+        "targets": {n: q_approximant(profile, n) for n in grid},
+        "encoding": _encode(mu),
+    }
     rows = _fan_out("lln41", mu, params, seed, samples, workers)
     means = _grid_means(rows, grid, "height_ratio")
     decreasing = all(means[b] < means[a] for a, b in zip(grid, grid[1:]))
@@ -376,7 +378,7 @@ def _lln43_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
     places: tuple[Place, ...] = params["places"]
     n_max = max(grid)
     grid_set = set(grid)
-    walker = _Walker(mu, seed)
+    walker = _Walker(params["encoding"], seed)
     rows = []
     for m in range(1, n_max + 1):
         walker.step()
@@ -403,7 +405,7 @@ def run_lln43(
     places = tuple(places)
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
-    params = {"n_grid": grid, "places": places}
+    params = {"n_grid": grid, "places": places, "encoding": _encode(mu)}
     rows = _fan_out("lln43", mu, params, seed, samples, workers)
     freqs = _event_freqs(rows, grid, "partial_height_rate", bound)
     summary = {
@@ -444,21 +446,18 @@ def _event_freqs(
 
 @_replica_fn("prop44")
 def _prop44_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
-    grid: Sequence[int] = params["n_grid"]
+    targets: dict[int, Fraction] = params["targets"]
     places: tuple[Place, ...] = params["places"]
     cotrunc: tuple[Place, ...] = params["cotrunc"]
     n_stab: int = params["n_stab"]
     margin: int = params["margin"]
     finite_probe: dict[int, int] = params["finite_probe"]
     real_probe: Optional[float] = params["real_probe"]
-    profile = drift_profile(mu)
-    targets = {n: q_approximant(profile, n) for n in grid}
-    grid_set = set(grid)
-    walker = _Walker(mu, seed)
+    walker = _Walker(params["encoding"], seed)
     snaps: dict[int, tuple[Fraction, Fraction]] = {}
     for m in range(1, n_stab + 1):
         walker.step()
-        if m in grid_set:
+        if m in targets:
             snaps[m] = (walker.a, walker.z)
     rep = walker.z
     for _ in range(margin):
@@ -474,8 +473,7 @@ def _prop44_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
             probe_ok = False
 
     rows = []
-    for n in grid:
-        a, z = snaps[n]
+    for n, (a, z) in snaps.items():
         first = height(targets[n] / a) / n
         boundary_term = math.fsum(
             log_norm_plus((rep - z) / a, p) for p in places
@@ -529,7 +527,8 @@ def run_prop44(
         max(grid) * profile.infinite_drift if INFINITE_PLACE in places else None
     )
     params = {
-        "n_grid": grid,
+        "targets": {n: q_approximant(profile, n) for n in grid},
+        "encoding": _encode(mu),
         "places": places,
         "cotrunc": cotrunc,
         "n_stab": n_stab,
@@ -649,22 +648,26 @@ def _stationarity_replica(mu: StepDistribution, params: dict, seed: int) -> list
     n: int = params["n"]
     margin: int = params["margin"]
     min_vb: Optional[int] = params["min_vb"]
-    walker = _Walker(mu, seed)
-    va = 0
+    step_cap: int = params["step_cap"]
+    walker = _Walker(params["encoding"], seed)
+    # p contracts, so it divides some atom's linear part and has a slot
+    exponents, j = walker.exponents, walker.primes.index(p)
     for _ in range(n):
-        g = walker.step()
-        va += valuation(g.a, p)
+        walker.step()
     a_n, z_n = walker.a, walker.z
     # lock the representative at a resolution fine enough for the tail at n
-    target = radius + max(va, 0) + 1
+    target = radius + max(exponents[j], 0) + 1
     need = None if min_vb is None else target - min_vb
     consecutive = 0
     while consecutive < margin:
-        g = walker.step()
-        va += valuation(g.a, p)
-        consecutive = consecutive + 1 if (need is None or va >= need) else 0
-        if walker.count > n + 500_000:
-            raise RuntimeError("stationarity lock runaway")
+        if walker.count >= step_cap:
+            raise StabilizationError(
+                f"stationarity replica did not lock within {step_cap} steps "
+                f"(seed {seed})",
+                steps=step_cap,
+            )
+        walker.step()
+        consecutive = consecutive + 1 if (need is None or exponents[j] >= need) else 0
     rep = walker.z
     stab_index = walker.count
     for _ in range(margin):
@@ -721,6 +724,8 @@ def run_stationarity(
         "n": n,
         "margin": margin,
         "min_vb": _min_translation_valuation(mu, p),
+        "step_cap": DEFAULT_STEP_CAP,
+        "encoding": _encode(mu),
     }
     rows = _fan_out("stationarity", mu, params, seed, samples, workers)
     hist0: dict[float, int] = {}

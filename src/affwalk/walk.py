@@ -2,10 +2,10 @@
 
 A trajectory multiplies i.i.d. increments g_k = (a_k, b_k): the running
 product is x_n = (A_n, Z_n) with A_n = a_1...a_n and Z_n = sum A_{k-1} b_k,
-kept as exact rationals.  On a place with negative drift the translation part
-converges; digits are declared stable by a consecutive-margin heuristic on
-the valuation of A_n and every lock is probed by walking further and
-re-checking.  The probe outcome is recorded, never silently trusted.
+kept in integer form and read as exact rationals.  On a place with negative
+drift the translation part converges; digits are declared stable by a
+consecutive-margin heuristic on the valuation of A_n and every lock is probed
+by walking further and re-checking.  The probe outcome is recorded, never silently trusted.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     PrecisionError,
     StabilizationError,
 )
-from .exact import INFINITE_PLACE, Place, valuation
+from .exact import INFINITE_PLACE, Place, prime_factors, valuation
 from .group import AffineMap, IDENTITY
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
@@ -70,40 +70,136 @@ class Trajectory:
         return self.prefix[n]
 
 
+@dataclass(frozen=True)
+class _Encoding:
+    """Integer form of a step law's atoms, built once per run.
+
+    ``primes`` are the primes dividing some atom's linear part.  Code i holds
+    atom g_i = (a_i, b_i) as (g_i, b, num, den, moves): a_i = num / den,
+    b_i = b / scale over the lcm ``scale`` of the b denominators, and moves
+    the nonzero (prime index, v_p(a_i)) pairs.
+    """
+
+    thresholds: tuple[int, ...]
+    primes: tuple[int, ...]
+    scale: int
+    codes: tuple[tuple[AffineMap, int, int, int, tuple[tuple[int, int], ...]], ...]
+
+
+def _encode(mu: StepDistribution) -> _Encoding:
+    """Factor every atom's coefficients once; see ``_Encoding``."""
+    atoms = mu.support
+    factors = [
+        (prime_factors(g.a.numerator), prime_factors(g.a.denominator)) for g in atoms
+    ]
+    primes = tuple(sorted({p for num, den in factors for p in (*num, *den)}))
+    scale = math.lcm(*(g.b.denominator for g in atoms))
+    codes = []
+    for g, (num, den) in zip(atoms, factors):
+        moves = tuple(
+            (j, num.get(p, 0) - den.get(p, 0))
+            for j, p in enumerate(primes)
+            if p in num or p in den
+        )
+        b = g.b.numerator * (scale // g.b.denominator)
+        codes.append((g, b, g.a.numerator, g.a.denominator, moves))
+    thresholds = tuple(cumulative_thresholds(mu.weights))
+    return _Encoding(thresholds, primes, scale, tuple(codes))
+
+
 class _Walker:
-    """Mutable walk state with exact (A, Z) and a bit-size guard."""
+    """Walk state in integers, with exact (A, Z) on read and a bit-size guard.
 
-    __slots__ = ("atoms", "thresholds", "rng", "a", "z", "count", "max_bits")
+    A_n = +-prod primes[j]**exponents[j].  With ``_floor[j]`` the lowest
+    exponent so far (never above 0) and D = prod primes[j]**-_floor[j], the
+    state keeps the integers P = A_n * D (which carries the sign) and
+    N = Z_n * scale * D.  A step adds P * b to N and multiplies P by a,
+    dividing exactly; when an exponent drops below its floor, N, P and D are
+    first scaled by the deficit.  No step takes a gcd.
+    """
 
-    def __init__(self, mu: StepDistribution, seed: int, max_bits: int = DEFAULT_MAX_BITS):
-        self.atoms = mu.support
-        self.thresholds = cumulative_thresholds(mu.weights)
+    __slots__ = (
+        "primes", "exponents", "rng", "count", "max_bits",
+        "_thresholds", "_codes", "_scale", "_floor", "_p", "_n", "_d",
+    )
+
+    def __init__(self, enc: _Encoding, seed: int, max_bits: int = DEFAULT_MAX_BITS):
+        self.primes = enc.primes
+        self.exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
         self.rng = SplitMix64(seed)
-        self.a = Fraction(1)
-        self.z = Fraction(0)
         self.count = 0
         self.max_bits = max_bits
+        self._thresholds = enc.thresholds
+        self._codes = enc.codes
+        self._scale = enc.scale
+        self._floor = [0] * len(enc.primes)
+        self._p = 1
+        self._n = 0
+        self._d = 1
 
     def step(self) -> AffineMap:
-        g = self.atoms[pick_index(self.rng.next_u64(), self.thresholds)]
+        g, b, num, den, moves = self._codes[
+            pick_index(self.rng.next_u64(), self._thresholds)
+        ]
         # x_k = x_{k-1} * g_k: translation picks up A_{k-1} b_k
-        self.z += self.a * g.b
-        self.a *= g.a
+        if b:
+            self._n += self._p * b
+        exponents, floor = self.exponents, self._floor
+        for j, v in moves:
+            v += exponents[j]
+            exponents[j] = v
+            if v < floor[j]:
+                s = self.primes[j] ** (floor[j] - v)
+                floor[j] = v
+                self._n *= s
+                self._p *= s
+                self._d *= s
+        self._p = self._p * num // den
         self.count += 1
         if self.count % 32 == 0:
-            bits = (
-                self.a.numerator.bit_length()
-                + self.a.denominator.bit_length()
-                + self.z.numerator.bit_length()
-                + self.z.denominator.bit_length()
-            )
-            if bits > self.max_bits:
-                raise BudgetError(
-                    f"walk state reached {bits} bits at step {self.count}, "
-                    f"guard is {self.max_bits}",
-                    reached=bits,
-                )
+            self._check_bits()
         return g
+
+    def _check_bits(self) -> None:
+        """Raise BudgetError when the reduced a and z exceed ``max_bits``.
+
+        The unreduced integers bound the reduced sizes from above, so the
+        exact count (one gcd) is taken only when that bound exceeds the guard.
+        """
+        d_bits = self._d.bit_length()
+        bound = (
+            self._p.bit_length() + self._n.bit_length()
+            + 2 * d_bits + self._scale.bit_length()
+        )
+        if bound <= self.max_bits:
+            return
+        a, z = self.a, self.z
+        bits = (
+            a.numerator.bit_length()
+            + a.denominator.bit_length()
+            + z.numerator.bit_length()
+            + z.denominator.bit_length()
+        )
+        if bits > self.max_bits:
+            raise BudgetError(
+                f"walk state reached {bits} bits at step {self.count}, "
+                f"guard is {self.max_bits}",
+                reached=bits,
+            )
+
+    @property
+    def a(self) -> Fraction:
+        num = den = 1
+        for p, v in zip(self.primes, self.exponents):
+            if v > 0:
+                num *= p**v
+            elif v < 0:
+                den *= p**-v
+        return Fraction(num if self._p > 0 else -num, den)
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self._n, self._scale * self._d)
 
     def position(self) -> AffineMap:
         return AffineMap(self.a, self.z)
@@ -121,7 +217,7 @@ def sample_path(
         raise DegenerateMeasureError(report.reason or "degenerate step law")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    walker = _Walker(mu, seed, max_bits)
+    walker = _Walker(_encode(mu), seed, max_bits)
     steps = []
     prefix = [IDENTITY]
     for _ in range(n):
@@ -199,9 +295,7 @@ def extract_boundary(
             raise ValueError("tolerance must be positive")
 
     atoms = mu.support
-    atom_vp = {p: [valuation(g.a, p) for g in atoms] for p in finite_targets}
     min_vb = {p: _min_translation_valuation(mu, p) for p in finite_targets}
-    va = {p: 0 for p in finite_targets}
     # lock thresholds on v_p(A_n); None when Z can never move at p
     va_need = {
         p: (finite_targets[p] - min_vb[p] if min_vb[p] is not None else None)
@@ -220,7 +314,10 @@ def extract_boundary(
         else:
             real_need = math.log(real_tol * safety) - math.log(max_b)
 
-    walker = _Walker(mu, seed, max_bits)
+    walker = _Walker(_encode(mu), seed, max_bits)
+    # a contracting prime divides some atom's linear part, so it has a slot
+    slots = [(p, walker.primes.index(p), va_need[p]) for p in finite_targets]
+    exponents = walker.exponents
     atom_index = {g: i for i, g in enumerate(atoms)}
     counters: dict[Place, int] = {p: 0 for p in finite_targets}
     if real_tol is not None:
@@ -240,13 +337,11 @@ def extract_boundary(
             )
         g = walker.step()
         n += 1
-        i = atom_index[g]
-        for p in finite_targets:
-            va[p] += atom_vp[p][i]
-            need = va_need[p]
-            counters[p] = counters[p] + 1 if (need is None or va[p] >= need) else 0
+        for p, j, need in slots:
+            ok = need is None or exponents[j] >= need
+            counters[p] = counters[p] + 1 if ok else 0
         if real_tol is not None:
-            la += log_abs[i]
+            la += log_abs[atom_index[g]]
             ok = real_need == math.inf or la <= real_need
             counters[INFINITE_PLACE] = counters[INFINITE_PLACE] + 1 if ok else 0
         if keep_prefix_to > 0 and n <= keep_prefix_to:

@@ -142,11 +142,19 @@ class TestPrimes:
         assert prime_factors(1) == {}
         assert prime_factors(2**61 - 1) == {2**61 - 1: 1}
 
-    def test_factors_reject_hard_composites(self):
-        # product of two primes above the trial division cutoff
-        hard = (10**9 + 7) * (10**9 + 9)
-        with pytest.raises(ValueError):
-            prime_factors(hard)
+    def test_factors_hard_composites(self):
+        # products of two primes well above any trial division bound
+        assert prime_factors((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
+        assert prime_factors(4270502930929) == {1086373: 1, 3930973: 1}
+        assert prime_factors(-(1000003**3) * 53) == {53: 1, 1000003: 3}
+
+    def test_support_of_hard_composite(self):
+        # found by hypothesis in test_height_as_sum_over_finite_places
+        assert support_primes(Fraction(4270502930929, 4271)) == {
+            4271,
+            1086373,
+            3930973,
+        }
 
     def test_support(self):
         assert support_primes(Fraction(12, 35)) == {2, 3, 5, 7}

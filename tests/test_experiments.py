@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from affwalk import INFINITE_PLACE, AffineMap, StepDistribution
+from affwalk import (
+    INFINITE_PLACE,
+    AffineMap,
+    StabilizationError,
+    StepDistribution,
+    experiments,
+)
 from affwalk.experiments import (
     Report,
     Row,
@@ -148,6 +154,13 @@ class TestMonteCarloSuites:
     def test_stationarity_rejects_expanding_prime(self, mu_bias):
         with pytest.raises(ValueError):
             run_stationarity(mu_bias, 2, radius_exponent=4, n=10, samples=5, seed=0)
+
+    def test_stationarity_lock_hits_step_cap(self, mu_rev, monkeypatch):
+        # a 40-digit lock needs far more than the 10 steps the cap leaves
+        monkeypatch.setattr(experiments, "DEFAULT_STEP_CAP", 60)
+        with pytest.raises(StabilizationError) as info:
+            run_stationarity(mu_rev, 2, radius_exponent=40, n=50, samples=2, seed=0)
+        assert info.value.steps == 60
 
 
 class TestEntropySuite:

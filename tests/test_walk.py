@@ -1,12 +1,16 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from affwalk import (
     IDENTITY,
     INFINITE_PLACE,
     AffineMap,
+    BudgetError,
     DegenerateMeasureError,
     PrecisionError,
     StabilizationError,
@@ -21,9 +25,61 @@ from affwalk import (
     real_limit,
     sample_path,
     tail_point,
+    valuation,
 )
+from affwalk.measure import validate
+from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index
+from affwalk.walk import _encode, _Walker
 
 F = Fraction
+
+
+def _bits(a, z):
+    """Bit size of the reduced (A, Z), as the walk's guard counts it."""
+    return sum(x.bit_length() for x in (*a.as_integer_ratio(), *z.as_integer_ratio()))
+
+
+def _fraction_walk(mu, seed, n, max_bits=None):
+    """Reference walk in plain Fraction arithmetic.
+
+    Returns the (atom, A_k, Z_k) of steps 1..n, and (step, bits) when the
+    reduced bit size of (A, Z), checked every 32 steps, exceeds max_bits
+    (the walk stops there), else None.
+    """
+    rng = SplitMix64(seed)
+    thresholds = cumulative_thresholds(mu.weights)
+    a, z = F(1), F(0)
+    out = []
+    for k in range(1, n + 1):
+        g = mu.support[pick_index(rng.next_u64(), thresholds)]
+        z += a * g.b
+        a *= g.a
+        out.append((g, a, z))
+        if max_bits is not None and k % 32 == 0:
+            bits = _bits(a, z)
+            if bits > max_bits:
+                return out, (k, bits)
+    return out, None
+
+
+# signed products of small prime powers: negative, multi-prime and unit slopes
+_slopes = st.builds(
+    lambda sign, e2, e3, e5, e7: sign * F(2) ** e2 * F(3) ** e3 * F(5) ** e5 * F(7) ** e7,
+    st.sampled_from([1, -1]),
+    *[st.integers(-2, 2)] * 4,
+)
+_translations = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+_atoms = st.lists(
+    st.tuples(_slopes, _translations, st.integers(1, 5)), min_size=1, max_size=4
+)
+_MIXED = [(F(6, 35), F(0), 2), (F(-3), F(5, 6), 1), (F(-1, 4), F(-2, 9), 1)]
+
+
+def _measure(atoms):
+    total = sum(w for _, _, w in atoms)
+    return StepDistribution([(AffineMap(a, b), F(w, total)) for a, b, w in atoms])
 
 
 class TestSamplePath:
@@ -206,3 +262,60 @@ class TestEmpiricalMeasure:
         a = empirical_measure(mu_rev, 2, radius_exponent=3, samples=100, seed=1)
         b = empirical_measure(mu_rev, 2, radius_exponent=3, samples=100, seed=1)
         assert a.counts == b.counts
+
+
+class TestIntegerEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(1, 120))
+    @example(_MIXED, 5, 100)
+    def test_matches_fraction_reference(self, atoms, seed, n):
+        mu = _measure(atoms)
+        walker = _Walker(_encode(mu), seed)
+        reference, _ = _fraction_walk(mu, seed, n)
+        for g, a, z in reference:
+            assert walker.step() == g
+            assert walker.a == a
+            assert walker.z == z
+            for p, v in zip(walker.primes, walker.exponents):
+                assert v == valuation(a, p)
+        assert walker.count == n
+
+    def test_primes_cover_every_slope(self):
+        enc = _encode(_measure(_MIXED))
+        assert enc.primes == (2, 3, 5, 7)
+        assert enc.scale == 18
+
+    @settings(max_examples=40, deadline=None)
+    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(8, 400))
+    @example(_MIXED, 5, 150)
+    def test_bit_guard_matches_reference(self, atoms, seed, max_bits):
+        mu = _measure(atoms)
+        assume(not validate(mu).degenerate)
+        _, hit = _fraction_walk(mu, seed, 256, max_bits)
+        if hit is None:
+            assert sample_path(mu, 256, seed, max_bits=max_bits).length == 256
+            return
+        with pytest.raises(BudgetError) as info:
+            sample_path(mu, 256, seed, max_bits=max_bits)
+        step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+        assert (step, info.value.reached) == hit
+
+    def test_bit_guard_boundaries(self):
+        # guards set at and just below each checkpoint's size: the walk must
+        # stop at the first checkpoint strictly above the guard
+        mu = _measure(_MIXED)
+        reference, _ = _fraction_walk(mu, 5, 256)
+        sizes = [
+            (k, _bits(a, z))
+            for k, (_, a, z) in enumerate(reference, start=1)
+            if k % 32 == 0
+        ]
+        for guard in sorted({b - d for _, b in sizes for d in (0, 1)}):
+            hit = next(((k, b) for k, b in sizes if b > guard), None)
+            if hit is None:
+                assert sample_path(mu, 256, 5, max_bits=guard).length == 256
+                continue
+            with pytest.raises(BudgetError) as info:
+                sample_path(mu, 256, 5, max_bits=guard)
+            assert info.value.reached == hit[1]
+            assert f"at step {hit[0]}," in str(info.value)
