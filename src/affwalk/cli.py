@@ -134,11 +134,22 @@ def _section(cfg: dict, name: str) -> dict:
     return section
 
 
-def _pick(flag, section: dict, key: str, default):
-    """Priority: command-line flag, config section, default."""
-    if flag is not None:
-        return flag
-    return section.get(key, default)
+def _pick(flag, section: dict, key: str, default, kind=None):
+    """Priority: command-line flag, config section, default; coerced by ``kind``."""
+    value = flag if flag is not None else section.get(key, default)
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad {key}: {value!r}")
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
 
 
 def _parse_grid(value) -> list[int]:
@@ -191,15 +202,16 @@ def _dispatch(args, cfg: dict) -> Report:
         return run_drift(_need_measure(cfg))
     if cmd == "gauge":
         section = _section(cfg, "gauge")
-        k = _pick(args.k, section, "k", None)
-        if k is None:
+        if _pick(args.k, section, "k", None) is None:
             raise ConfigError("gauge needs --k or a gauge.k config entry")
-        k_max = _pick(args.k_max, section, "k_max", 5.0)
-        return run_gauge(float(k), float(k_max))
+        return run_gauge(
+            _pick(args.k, section, "k", None, _finite),
+            _pick(args.k_max, section, "k_max", 5.0, _finite),
+        )
     if cmd == "walk":
         section = _section(cfg, "walk")
         mu = _need_measure(cfg)
-        n = int(_pick(args.n, section, "n", 100))
+        n = _pick(args.n, section, "n", 100, int)
         primes = _pick(args.p, section, "primes", [])
         primes = [p for p in _parse_places(primes) if p != INFINITE_PLACE]
         return run_walk(mu, n, _base_seed(args, section), primes)
@@ -214,7 +226,7 @@ def _dispatch(args, cfg: dict) -> Report:
             n_grid=grid,
             samples=_samples(args, section, DEFAULT_SAMPLES),
             seed=_base_seed(args, section),
-            final_bound=float(section.get("final_bound", 0.05 * math.log(2))),
+            final_bound=_pick(None, section, "final_bound", 0.05 * math.log(2), _finite),
             workers=args.workers,
         )
     if cmd == "lln43":
@@ -228,8 +240,8 @@ def _dispatch(args, cfg: dict) -> Report:
             n_grid=grid,
             samples=_samples(args, section, DEFAULT_SAMPLES),
             seed=_base_seed(args, section),
-            epsilon=float(_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON)),
-            freq_threshold=float(section.get("freq_threshold", 0.95)),
+            epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
+            freq_threshold=_pick(None, section, "freq_threshold", 0.95, _finite),
             workers=args.workers,
         )
     if cmd == "prop44":
@@ -239,29 +251,26 @@ def _dispatch(args, cfg: dict) -> Report:
         if not places:
             raise ConfigError("prop44 needs a non-empty place list")
         grid = _parse_grid(_pick(args.n_grid, section, "n_grid", list(DEFAULT_GRID)))
-        try:
-            return run_prop44(
-                mu,
-                places,
-                n_grid=grid,
-                samples=_samples(args, section, DEFAULT_SAMPLES),
-                seed=_base_seed(args, section),
-                epsilon=float(_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON)),
-                freq_threshold=float(section.get("freq_threshold", 0.9)),
-                stab_factor=int(section.get("stab_factor", 4)),
-                margin=int(section.get("margin", DEFAULT_MARGIN)),
-                workers=args.workers,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return run_prop44(
+            mu,
+            places,
+            n_grid=grid,
+            samples=_samples(args, section, DEFAULT_SAMPLES),
+            seed=_base_seed(args, section),
+            epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
+            freq_threshold=_pick(None, section, "freq_threshold", 0.9, _finite),
+            stab_factor=_pick(None, section, "stab_factor", 4, int),
+            margin=_pick(None, section, "margin", DEFAULT_MARGIN, int),
+            workers=args.workers,
+        )
     if cmd == "entropy":
         section = _section(cfg, "entropy")
         mu = _need_measure(cfg)
         return run_entropy(
             mu,
-            n_max=int(_pick(args.n_max, section, "n_max", 12)),
-            cell_budget=int(
-                _pick(args.cell_budget, section, "cell_budget", DEFAULT_CELL_BUDGET)
+            n_max=_pick(args.n_max, section, "n_max", 12, int),
+            cell_budget=_pick(
+                args.cell_budget, section, "cell_budget", DEFAULT_CELL_BUDGET, int
             ),
         )
     raise ConfigError(f"unknown command {cmd!r}")
@@ -276,14 +285,11 @@ def _run_boundary(args, cfg: dict) -> Report:
     p = parse_place(str(p_raw))
     if p == INFINITE_PLACE:
         raise ConfigError("boundary digits need a finite prime")
-    digits = int(_pick(args.digits, section, "digits", 16))
-    margin = int(_pick(args.margin, section, "margin", DEFAULT_MARGIN))
-    step_cap = int(section.get("step_cap", DEFAULT_STEP_CAP))
+    digits = _pick(args.digits, section, "digits", 16, int)
+    margin = _pick(args.margin, section, "margin", DEFAULT_MARGIN, int)
+    step_cap = _pick(None, section, "step_cap", DEFAULT_STEP_CAP, int)
     seed = _base_seed(args, section)
-    try:
-        result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
     rows = [
         Row("boundary", str(p), result.stabilization_index, seed, "stabilization_index",
             float(result.stabilization_index)),
@@ -318,7 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args.config)
         report = _dispatch(args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # ValueError is how the library rejects out-of-range parameters
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BudgetError, StabilizationError
+from .errors import BudgetError
 from .exact import (
     INFINITE_PLACE,
     Place,
     format_place,
     format_rational,
     height,
+    log_norm,
     log_norm_plus,
     valuation,
 )
@@ -42,13 +44,7 @@ from .measure import (
 )
 from .padic import ball_key_exact
 from .prng import replica_seed
-from .walk import (
-    DEFAULT_MARGIN,
-    DEFAULT_STEP_CAP,
-    _encode,
-    _min_translation_valuation,
-    _Walker,
-)
+from .walk import DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _lock, _probe, _Walker
 
 __all__ = [
     "Row",
@@ -145,11 +141,6 @@ def render_json(report: Report) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _log_abs(q: Fraction) -> float:
-    """ln|q| through the integer parts; safe for huge numerators."""
-    return math.log(abs(q.numerator)) - math.log(q.denominator)
-
-
 def _partial_plus(z: Fraction, places: Iterable[Place]) -> float:
     return math.fsum(log_norm_plus(z, p) for p in places)
 
@@ -189,7 +180,11 @@ def _fan_out(
     samples: int,
     workers: int,
 ) -> list[Row]:
-    """Rows of all replicas in index order, identical for any worker count."""
+    """Rows of all replicas in index order, identical for any worker count.
+
+    The pool never exceeds the CPU count or the number of chunks.
+    """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _run_chunk((name, mu, params, base_seed, 0, samples))
     chunk = max(1, math.ceil(samples / (workers * 4)))
@@ -200,7 +195,7 @@ def _fan_out(
         if lo < hi
     ]
     rows: list[Row] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         for part in pool.map(_run_chunk, jobs):
             rows.extend(part)
     return rows
@@ -281,8 +276,8 @@ def run_walk(
     rows = []
 
     def snapshot(m: int):
-        rows.append(Row("walk", "", m, seed, "log_abs_A", _log_abs(walker.a)))
-        lz = _log_abs(walker.z) if walker.z != 0 else -math.inf
+        rows.append(Row("walk", "", m, seed, "log_abs_A", log_norm(walker.a, INFINITE_PLACE)))
+        lz = log_norm(walker.z, INFINITE_PLACE) if walker.z != 0 else -math.inf
         rows.append(Row("walk", "", m, seed, "log_abs_Z", lz))
         for p in primes:
             rows.append(Row("walk", str(p), m, seed, "v_A", float(valuation(walker.a, p))))
@@ -459,17 +454,10 @@ def _prop44_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
         walker.step()
         if m in targets:
             snaps[m] = (walker.a, walker.z)
-    rep = walker.z
-    for _ in range(margin):
-        walker.step()
-    after = walker.z
-
-    probe_ok = True
-    for p, t in finite_probe.items():
-        if ball_key_exact(rep, p, t) != ball_key_exact(after, p, t):
-            probe_ok = False
+    rep, after, agreed = _probe(walker, margin, finite_probe)
+    probe_ok = all(ok for _, ok in agreed)
     if real_probe is not None and after != rep:
-        if _log_abs(after - rep) > real_probe:
+        if log_norm(after - rep, INFINITE_PLACE) > real_probe:
             probe_ok = False
 
     rows = []
@@ -647,32 +635,16 @@ def _stationarity_replica(mu: StepDistribution, params: dict, seed: int) -> list
     radius: int = params["radius"]
     n: int = params["n"]
     margin: int = params["margin"]
-    min_vb: Optional[int] = params["min_vb"]
-    step_cap: int = params["step_cap"]
     walker = _Walker(params["encoding"], seed)
-    # p contracts, so it divides some atom's linear part and has a slot
-    exponents, j = walker.exponents, walker.primes.index(p)
     for _ in range(n):
         walker.step()
     a_n, z_n = walker.a, walker.z
-    # lock the representative at a resolution fine enough for the tail at n
-    target = radius + max(exponents[j], 0) + 1
-    need = None if min_vb is None else target - min_vb
-    consecutive = 0
-    while consecutive < margin:
-        if walker.count >= step_cap:
-            raise StabilizationError(
-                f"stationarity replica did not lock within {step_cap} steps "
-                f"(seed {seed})",
-                steps=step_cap,
-            )
-        walker.step()
-        consecutive = consecutive + 1 if (need is None or exponents[j] >= need) else 0
-    rep = walker.z
+    # lock the representative at a resolution fine enough for the tail at n;
+    # p contracts, so it divides some atom's linear part and has a slot
+    target = radius + max(walker.exponents[walker.primes.index(p)], 0) + 1
+    _lock(walker, {p: target}, margin, params["step_cap"])
     stab_index = walker.count
-    for _ in range(margin):
-        walker.step()
-    probe_ok = ball_key_exact(rep, p, target) == ball_key_exact(walker.z, p, target)
+    rep, _, [(_, probe_ok)] = _probe(walker, margin, {p: target})
 
     t0 = rep
     t1 = (rep - z_n) / a_n
@@ -723,7 +695,6 @@ def run_stationarity(
         "radius": radius_exponent,
         "n": n,
         "margin": margin,
-        "min_vb": _min_translation_valuation(mu, p),
         "step_cap": DEFAULT_STEP_CAP,
         "encoding": _encode(mu),
     }

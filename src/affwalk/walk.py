@@ -3,9 +3,10 @@
 A trajectory multiplies i.i.d. increments g_k = (a_k, b_k): the running
 product is x_n = (A_n, Z_n) with A_n = a_1...a_n and Z_n = sum A_{k-1} b_k,
 kept in integer form and read as exact rationals.  On a place with negative
-drift the translation part converges; digits are declared stable by a
-consecutive-margin heuristic on the valuation of A_n and every lock is probed
-by walking further and re-checking.  The probe outcome is recorded, never silently trusted.
+drift the translation part converges.  One lock rule serves every caller: walk
+until v_p(A_n) (or |A_n| on R) has been past its target for ``margin``
+consecutive steps, then probe by walking ``margin`` steps further and
+re-checking.  The probe outcome is recorded, never silently trusted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     PrecisionError,
     StabilizationError,
 )
-from .exact import INFINITE_PLACE, Place, prime_factors, valuation
+from .exact import INFINITE_PLACE, Place, log_norm, prime_factors, valuation
 from .group import AffineMap, IDENTITY
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
@@ -75,15 +76,17 @@ class _Encoding:
     """Integer form of a step law's atoms, built once per run.
 
     ``primes`` are the primes dividing some atom's linear part.  Code i holds
-    atom g_i = (a_i, b_i) as (g_i, b, num, den, moves): a_i = num / den,
+    atom g_i = (a_i, b_i) as (b, num, den, moves): a_i = num / den,
     b_i = b / scale over the lcm ``scale`` of the b denominators, and moves
-    the nonzero (prime index, v_p(a_i)) pairs.
+    the nonzero (prime index, v_p(a_i)) pairs.  ``min_vb[j]`` is the least
+    v_p(b_i) over atoms with b_i != 0 for p = primes[j], None when every b is 0.
     """
 
     thresholds: tuple[int, ...]
     primes: tuple[int, ...]
     scale: int
-    codes: tuple[tuple[AffineMap, int, int, int, tuple[tuple[int, int], ...]], ...]
+    codes: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
+    min_vb: tuple[Optional[int], ...]
 
 
 def _encode(mu: StepDistribution) -> _Encoding:
@@ -102,9 +105,13 @@ def _encode(mu: StepDistribution) -> _Encoding:
             if p in num or p in den
         )
         b = g.b.numerator * (scale // g.b.denominator)
-        codes.append((g, b, g.a.numerator, g.a.denominator, moves))
+        codes.append((b, g.a.numerator, g.a.denominator, moves))
+    min_vb = tuple(
+        min((valuation(g.b, p) for g in atoms if g.b != 0), default=None)
+        for p in primes
+    )
     thresholds = tuple(cumulative_thresholds(mu.weights))
-    return _Encoding(thresholds, primes, scale, tuple(codes))
+    return _Encoding(thresholds, primes, scale, tuple(codes), min_vb)
 
 
 class _Walker:
@@ -119,12 +126,13 @@ class _Walker:
     """
 
     __slots__ = (
-        "primes", "exponents", "rng", "count", "max_bits",
+        "primes", "min_vb", "exponents", "rng", "count", "max_bits",
         "_thresholds", "_codes", "_scale", "_floor", "_p", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int, max_bits: int = DEFAULT_MAX_BITS):
         self.primes = enc.primes
+        self.min_vb = enc.min_vb
         self.exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
         self.rng = SplitMix64(seed)
         self.count = 0
@@ -137,10 +145,10 @@ class _Walker:
         self._n = 0
         self._d = 1
 
-    def step(self) -> AffineMap:
-        g, b, num, den, moves = self._codes[
-            pick_index(self.rng.next_u64(), self._thresholds)
-        ]
+    def step(self) -> int:
+        """Draw one atom, advance the state, and return the atom's index."""
+        i = pick_index(self.rng.next_u64(), self._thresholds)
+        b, num, den, moves = self._codes[i]
         # x_k = x_{k-1} * g_k: translation picks up A_{k-1} b_k
         if b:
             self._n += self._p * b
@@ -158,7 +166,7 @@ class _Walker:
         self.count += 1
         if self.count % 32 == 0:
             self._check_bits()
-        return g
+        return i
 
     def _check_bits(self) -> None:
         """Raise BudgetError when the reduced a and z exceed ``max_bits``.
@@ -221,15 +229,73 @@ def sample_path(
     steps = []
     prefix = [IDENTITY]
     for _ in range(n):
-        steps.append(walker.step())
+        steps.append(mu.support[walker.step()])
         prefix.append(walker.position())
     return Trajectory(seed, tuple(steps), tuple(prefix))
 
 
-def _min_translation_valuation(mu: StepDistribution, p: int) -> Optional[int]:
-    """min v_p(b) over atoms with b != 0; None when every b is 0."""
-    vals = [valuation(g.b, p) for g in mu.support if g.b != 0]
-    return min(vals) if vals else None
+def _lock(
+    walker: _Walker,
+    targets: Mapping[int, int],
+    margin: int,
+    step_cap: int,
+    min_index: int = 0,
+    real: Optional[tuple[float, Sequence[float]]] = None,
+) -> None:
+    """Step until every place has held its lock for ``margin`` consecutive steps.
+
+    A prime p with target t holds while v_p(A_n) >= t - min v_p(b), which
+    keeps every later increment A_n b in p^t Z_p; it always holds when every
+    b is 0.  ``real`` is (need, ln|a_i| per atom): R holds while
+    ln|A_n| <= need.  One joint counter stands for one counter per place:
+    each place has held for the last ``margin`` steps exactly when all places
+    held on each of them.  The walk also runs to ``walker.count >= min_index``
+    and raises StabilizationError once ``walker.count`` reaches ``step_cap``.
+    """
+    exponents = walker.exponents
+    slots = []
+    for p, t in targets.items():
+        # a contracting prime divides some atom's linear part, so it has a slot
+        j = walker.primes.index(p)
+        if walker.min_vb[j] is not None:
+            slots.append((j, t - walker.min_vb[j]))
+    if real is not None:
+        real_need, log_abs = real
+        la = log_norm(walker.a, INFINITE_PLACE)
+    held = 0
+    while held < margin or walker.count < min_index:
+        if walker.count >= step_cap:
+            raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
+        i = walker.step()
+        held += 1
+        for j, need in slots:
+            if exponents[j] < need:
+                held = 0
+        if real is not None:
+            la += log_abs[i]
+            if la > real_need:
+                held = 0
+
+
+def _probe(
+    walker: _Walker, margin: int, targets: Mapping[int, int]
+) -> tuple[Fraction, Fraction, list[tuple[Place, bool]]]:
+    """Z now, Z after ``margin`` more steps, and whether they agree per prime.
+
+    The agreement list holds, for each prime p with target t in increasing
+    p, whether both values lie in the same ball of radius p^-t.
+    """
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    rep = walker.z
+    for _ in range(margin):
+        walker.step()
+    after = walker.z
+    agreed = [
+        (p, ball_key_exact(rep, p, t) == ball_key_exact(after, p, t))
+        for p, t in sorted(targets.items())
+    ]
+    return rep, after, agreed
 
 
 @dataclass(frozen=True)
@@ -269,9 +335,8 @@ def extract_boundary(
     margin: int = DEFAULT_MARGIN,
     step_cap: int = DEFAULT_STEP_CAP,
     min_index: int = 0,
-    keep_prefix_to: int = 0,
     max_bits: int = DEFAULT_MAX_BITS,
-) -> tuple[Trajectory, BoundarySample]:
+) -> BoundarySample:
     """Run one walk until every requested place's coordinate looks locked.
 
     For a finite prime p with target exponent t, the lock criterion is
@@ -281,83 +346,32 @@ def extract_boundary(
     geometric-series headroom safety = (1 - e^drift)/2.  The guarantee is
     probabilistic: after locking, the walk is extended by ``margin`` steps
     and each place's resolution re-checked; outcomes land in ``probes``.
+    The prefix of the same walk is ``sample_path(mu, n, seed)``.
     """
     finite_targets = dict(finite_targets or {})
+    if not finite_targets and real_tol is None:
+        raise ValueError("no place to lock")
     profile = drift_profile(mu)
-    exact = profile.exact()
+    contracting = profile.contracting()
     for p in finite_targets:
-        if exact.get(p, Fraction(0)) <= 0:
+        if p not in contracting:
             raise ValueError(f"prime {p} does not contract (drift >= 0)")
+    real = None
     if real_tol is not None:
-        if profile.infinite_sign >= 0:
+        if INFINITE_PLACE not in contracting:
             raise ValueError("the infinite place does not contract (drift >= 0)")
         if real_tol <= 0:
             raise ValueError("tolerance must be positive")
-
-    atoms = mu.support
-    min_vb = {p: _min_translation_valuation(mu, p) for p in finite_targets}
-    # lock thresholds on v_p(A_n); None when Z can never move at p
-    va_need = {
-        p: (finite_targets[p] - min_vb[p] if min_vb[p] is not None else None)
-        for p in finite_targets
-    }
-    log_abs = [
-        math.log(abs(g.a.numerator)) - math.log(g.a.denominator) for g in atoms
-    ]
-    la = 0.0
-    real_need = None
-    if real_tol is not None:
         safety = (1.0 - math.exp(profile.infinite_drift)) / 2.0
-        max_b = max((abs(float(g.b)) for g in atoms), default=0.0)
-        if max_b == 0.0:
-            real_need = math.inf  # Z stays 0; always locked
-        else:
-            real_need = math.log(real_tol * safety) - math.log(max_b)
+        max_b = max(abs(float(g.b)) for g in mu.support)
+        # with every b = 0, Z stays 0 and R is always locked
+        need = math.log(real_tol * safety) - math.log(max_b) if max_b else math.inf
+        real = (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
 
     walker = _Walker(_encode(mu), seed, max_bits)
-    # a contracting prime divides some atom's linear part, so it has a slot
-    slots = [(p, walker.primes.index(p), va_need[p]) for p in finite_targets]
-    exponents = walker.exponents
-    atom_index = {g: i for i, g in enumerate(atoms)}
-    counters: dict[Place, int] = {p: 0 for p in finite_targets}
-    if real_tol is not None:
-        counters[INFINITE_PLACE] = 0
-    prefix = [IDENTITY]
-    steps = []
-
-    def locked_now() -> bool:
-        return all(c >= margin for c in counters.values())
-
-    min_index = max(min_index, keep_prefix_to)
-    n = 0
-    while not (locked_now() and n >= min_index):
-        if n >= step_cap:
-            raise StabilizationError(
-                f"no lock within {step_cap} steps (seed {seed})", steps=step_cap
-            )
-        g = walker.step()
-        n += 1
-        for p, j, need in slots:
-            ok = need is None or exponents[j] >= need
-            counters[p] = counters[p] + 1 if ok else 0
-        if real_tol is not None:
-            la += log_abs[atom_index[g]]
-            ok = real_need == math.inf or la <= real_need
-            counters[INFINITE_PLACE] = counters[INFINITE_PLACE] + 1 if ok else 0
-        if keep_prefix_to > 0 and n <= keep_prefix_to:
-            steps.append(g)
-            prefix.append(walker.position())
-
-    rep = walker.z
-    lock_index = n
-
-    # continuation probe: does the locked resolution survive more steps?
-    for _ in range(margin):
-        walker.step()
-    after = walker.z
-    probes = []
-    for p, t in sorted(finite_targets.items()):
-        probes.append((p, ball_key_exact(rep, p, t) == ball_key_exact(after, p, t)))
+    _lock(walker, finite_targets, margin, step_cap, min_index, real)
+    lock_index = walker.count
+    rep, after, probes = _probe(walker, margin, finite_targets)
     if real_tol is not None:
         probes.append((INFINITE_PLACE, abs(float(after - rep)) <= real_tol / 2))
 
@@ -377,8 +391,7 @@ def extract_boundary(
         )
         representatives.append((INFINITE_PLACE, rep))
 
-    trajectory = Trajectory(seed, tuple(steps), tuple(prefix))
-    sample = BoundarySample(
+    return BoundarySample(
         representatives=tuple(representatives),
         expansions=tuple(expansions),
         real_interval=real_interval,
@@ -387,7 +400,6 @@ def extract_boundary(
         steps_total=walker.count,
         probe_value=after,
     )
-    return trajectory, sample
 
 
 @dataclass(frozen=True)
@@ -422,7 +434,7 @@ def boundary_digits(
     if n_digits < 1:
         raise ValueError("precision must be at least 1")
     target = n_digits + 1  # one exponent of headroom over the digit window
-    walker_out = extract_boundary(
+    sample = extract_boundary(
         mu,
         seed,
         finite_targets={p: target},
@@ -430,7 +442,6 @@ def boundary_digits(
         step_cap=step_cap,
         max_bits=max_bits,
     )
-    _, sample = walker_out
     rep = sample.representative(p)
     locked = expand(rep, p, n_digits)
     probe = expand(sample.probe_value, p, n_digits)
@@ -474,7 +485,7 @@ def real_limit(
     |A_n| * max|b| < tol * safety for ``margin`` consecutive steps, where
     safety = (1 - e^drift)/2 is the geometric-series headroom.
     """
-    _, sample = extract_boundary(
+    sample = extract_boundary(
         mu,
         seed,
         real_tol=tol,
@@ -552,7 +563,7 @@ def empirical_measure(
     counts: Counter = Counter()
     probe_misses = 0
     for i in range(samples):
-        _, sample = extract_boundary(
+        sample = extract_boundary(
             mu,
             replica_seed(seed, i),
             finite_targets={p: target},
@@ -608,12 +619,8 @@ def divergence_statistic(
     atoms = mu.support
     thresholds = cumulative_thresholds(mu.weights)
     if place == INFINITE_PLACE:
-        incr_a = [math.log(abs(g.a.numerator)) - math.log(g.a.denominator) for g in atoms]
-        incr_b = [
-            None if g.b == 0
-            else math.log(abs(g.b.numerator)) - math.log(g.b.denominator)
-            for g in atoms
-        ]
+        incr_a = [log_norm(g.a, INFINITE_PLACE) for g in atoms]
+        incr_b = [None if g.b == 0 else log_norm(g.b, INFINITE_PLACE) for g in atoms]
         log_p = 1.0
     else:
         incr_a = [valuation(g.a, place) for g in atoms]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,25 @@ class TestExitCodes:
     def test_gauge_needs_k(self, bias_config):
         assert main(["--config", bias_config, "gauge"]) == 2
 
+    @pytest.mark.parametrize(
+        "section, argv",
+        [
+            (None, ["gauge", "--k", "nan"]),
+            (None, ["gauge", "--k", "inf"]),
+            ({"walk": {"n": "abc"}}, ["walk"]),
+            ({"walk": {"n": None}}, ["walk"]),
+            (None, ["boundary", "--p", "2", "--margin", "0"]),
+        ],
+        ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0"],
+    )
+    def test_bad_values_exit_2(self, tmp_path, capsys, section, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**REV, **(section or {})}))
+        assert main(["--config", str(cfg)] + argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestOutputs:
     def test_drift_csv(self, bias_config, capsys):
@@ -123,6 +143,9 @@ class TestOutputs:
         ) == 0
         out = capsys.readouterr().out
         assert "base 2" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c720b97f7b6642bed4e3bd2ffcdba229308fd56821c1861ad4e4c9bfb65f3902"
+        )
 
 
 class TestReproducibility:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -161,6 +162,69 @@ class TestMonteCarloSuites:
         with pytest.raises(StabilizationError) as info:
             run_stationarity(mu_rev, 2, radius_exponent=40, n=50, samples=2, seed=0)
         assert info.value.steps == 60
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedReports:
+    """Report bytes of small runs, fixed so engine refactors cannot move them."""
+
+    def test_stationarity_bytes(self, mu_rev):
+        rep = run_stationarity(mu_rev, 2, 6, 50, samples=500, seed=9)
+        assert _sha256(render_csv(rep)) == (
+            "edb8b1fb3de68bedecb95aa8f07d6172b759f77f0954ddb827af3fa695c1a2f6"
+        )
+
+    def test_prop44_finite_bytes(self, mu_rev):
+        rep = run_prop44(mu_rev, [2], n_grid=[125, 250], samples=30)
+        assert _sha256(render_csv(rep)) == (
+            "e8a10929252cef40459c0031fddf010404988b68016b8e5adafaca7e3ad55c15"
+        )
+
+    def test_prop44_real_bytes(self, mu_bias):
+        rep = run_prop44(mu_bias, [INFINITE_PLACE], n_grid=[125, 250], samples=30)
+        assert _sha256(render_csv(rep)) == (
+            "3a19fc4a535c50b641a948f07ff03f872ca9fdb88e5a19dc16570f72a0ddc5a8"
+        )
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor: records the pool size, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "workers, samples, cpus, pool",
+    [
+        (10**6, 5, 4, [4]),  # capped by the CPU count
+        (8, 3, 64, [3]),  # capped by the number of chunks
+        (4, 5, None, []),  # unknown CPU count: one worker, no pool
+    ],
+    ids=["cpus", "chunks", "no-cpu-count"],
+)
+def test_fan_out_clamps_workers(mu_bias, monkeypatch, workers, samples, cpus, pool):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    args = dict(n_grid=[10], samples=samples, seed=1)
+    rep = run_lln41(mu_bias, workers=workers, **args)
+    assert _InlinePool.sizes == pool
+    assert render_csv(rep) == render_csv(run_lln41(mu_bias, workers=1, **args))
 
 
 class TestEntropySuite:

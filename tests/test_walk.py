@@ -172,49 +172,62 @@ class TestRealLimit:
 
 class TestExtractBoundary:
     def test_prefix_and_probes(self, mu_rev):
-        traj, sample = extract_boundary(
-            mu_rev, seed=1, finite_targets={2: 10}, keep_prefix_to=25
-        )
-        assert traj.length >= 25
+        sample = extract_boundary(mu_rev, seed=1, finite_targets={2: 10}, min_index=25)
         assert sample.stabilization_index >= 25
         assert all(ok for _, ok in sample.probes)
+        # the same seed draws the same atoms, so sample_path gives the prefix
+        n = sample.stabilization_index
+        assert sample_path(mu_rev, n, seed=1).position(n).b == sample.representative(2)
 
     def test_representative_valuation_stability(self, mu_rev):
         # the 2-adic ball of the representative must match a later refinement
-        _, coarse = extract_boundary(mu_rev, seed=2, finite_targets={2: 8})
-        _, fine = extract_boundary(mu_rev, seed=2, finite_targets={2: 14})
+        coarse = extract_boundary(mu_rev, seed=2, finite_targets={2: 8})
+        fine = extract_boundary(mu_rev, seed=2, finite_targets={2: 14})
         r1 = coarse.representative(2)
         r2 = fine.representative(2)
         assert ball_key_exact(r1, 2, 8) == ball_key_exact(r2, 2, 8)
 
     def test_min_index_respected(self, mu_rev):
-        _, sample = extract_boundary(
+        sample = extract_boundary(
             mu_rev, seed=4, finite_targets={2: 4}, min_index=120
         )
         assert sample.stabilization_index >= 120
 
+    def test_joint_finite_and_real_lock(self):
+        # contracts at 2 and on R; both places must hold for the same margin
+        mu = StepDistribution({
+            AffineMap(F(1, 2), 1): F(1, 2),
+            AffineMap(F(2, 3), F(1, 3)): F(1, 4),
+            AffineMap(4, 0): F(1, 4),
+        })
+        sample = extract_boundary(mu, seed=7, finite_targets={2: 5}, real_tol=1e-6)
+        assert sample.stabilization_index == 261
+        assert sample.steps_total == 261 + 32
+        assert sample.probes == ((2, True), (INFINITE_PLACE, True))
+
+    def test_needs_a_place(self, mu_rev):
+        with pytest.raises(ValueError):
+            extract_boundary(mu_rev, seed=0)
+
 
 class TestTailPoint:
     def test_transport_identity(self, mu_rev):
-        traj, sample = extract_boundary(
-            mu_rev, seed=6, finite_targets={2: 12}, keep_prefix_to=20
-        )
+        traj = sample_path(mu_rev, 20, seed=6)
+        sample = extract_boundary(mu_rev, seed=6, finite_targets={2: 12}, min_index=20)
         rep = sample.representative(2)
         tp = tail_point(traj, 8, sample, [2])
         x = traj.position(8)
         assert tp[2] == (rep - x.b) / x.a
 
     def test_zeroth_tail_is_representative(self, mu_rev):
-        traj, sample = extract_boundary(
-            mu_rev, seed=6, finite_targets={2: 12}, keep_prefix_to=5
-        )
+        traj = sample_path(mu_rev, 5, seed=6)
+        sample = extract_boundary(mu_rev, seed=6, finite_targets={2: 12}, min_index=5)
         tp = tail_point(traj, 0, sample, [2])
         assert tp[2] == sample.representative(2)
 
     def test_rejects_indices_past_stabilization(self, mu_rev):
-        traj, sample = extract_boundary(
-            mu_rev, seed=6, finite_targets={2: 6}, keep_prefix_to=5
-        )
+        traj = sample_path(mu_rev, 5, seed=6)
+        sample = extract_boundary(mu_rev, seed=6, finite_targets={2: 6}, min_index=5)
         with pytest.raises(PrecisionError):
             tail_point(traj, sample.stabilization_index + 1, sample, [2])
 
@@ -273,7 +286,7 @@ class TestIntegerEngine:
         walker = _Walker(_encode(mu), seed)
         reference, _ = _fraction_walk(mu, seed, n)
         for g, a, z in reference:
-            assert walker.step() == g
+            assert mu.support[walker.step()] == g
             assert walker.a == a
             assert walker.z == z
             for p, v in zip(walker.primes, walker.exponents):
