@@ -152,45 +152,35 @@ def _seed_config(seed: int, samples: int) -> dict:
 # ---------------------------------------------------------------------------
 # replica fan-out
 
-_REPLICA_FNS: dict[str, Callable] = {}
-
-
-def _replica_fn(name: str):
-    def register(fn):
-        _REPLICA_FNS[name] = fn
-        return fn
-
-    return register
-
 
 def _run_chunk(args) -> list[Row]:
-    name, mu, params, base_seed, lo, hi = args
-    fn = _REPLICA_FNS[name]
+    fn, params, base_seed, lo, hi = args
     rows: list[Row] = []
     for i in range(lo, hi):
-        rows.extend(fn(mu, params, replica_seed(base_seed, i)))
+        rows.extend(fn(params, replica_seed(base_seed, i)))
     return rows
 
 
 def _fan_out(
-    name: str,
-    mu: StepDistribution,
+    fn: Callable[[dict, int], list[Row]],
     params: dict,
     base_seed: int,
     samples: int,
     workers: int,
 ) -> list[Row]:
-    """Rows of all replicas in index order, identical for any worker count.
+    """Rows of ``fn(params, seed_i)`` for every replica, in index order.
 
-    The pool never exceeds the CPU count or the number of chunks.
+    The rows are identical for any worker count.  ``fn`` is a module-level
+    function, so a job pickles it by name.  The pool never exceeds the CPU
+    count or the number of chunks.
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        return _run_chunk((name, mu, params, base_seed, 0, samples))
+        return _run_chunk((fn, params, base_seed, 0, samples))
     chunk = max(1, math.ceil(samples / (workers * 4)))
     bounds = list(range(0, samples, chunk)) + [samples]
     jobs = [
-        (name, mu, params, base_seed, lo, hi)
+        (fn, params, base_seed, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
@@ -272,6 +262,8 @@ def run_walk(
     mu: StepDistribution, n: int, seed: int, primes: Sequence[int] = ()
 ) -> Report:
     """Dump one trajectory's growth statistics (plot-ready)."""
+    if n < 0:
+        raise ValueError("walk length must be nonnegative")
     walker = _Walker(_encode(mu), seed)
     rows = []
 
@@ -306,8 +298,7 @@ def run_walk(
 # law-of-large-numbers suites
 
 
-@_replica_fn("lln41")
-def _lln41_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
+def _lln41_replica(params: dict, seed: int) -> list[Row]:
     targets: dict[int, Fraction] = params["targets"]
     walker = _Walker(params["encoding"], seed)
     rows = []
@@ -334,7 +325,7 @@ def run_lln41(
         "targets": {n: q_approximant(profile, n) for n in grid},
         "encoding": _encode(mu),
     }
-    rows = _fan_out("lln41", mu, params, seed, samples, workers)
+    rows = _fan_out(_lln41_replica, params, seed, samples, workers)
     means = _grid_means(rows, grid, "height_ratio")
     decreasing = all(means[b] < means[a] for a, b in zip(grid, grid[1:]))
     final = means[grid[-1]]
@@ -367,8 +358,7 @@ def _grid_means(rows: list[Row], grid: Sequence[int], statistic: str) -> dict[in
     return {n: math.fsum(vals) / len(vals) for n, vals in by_n.items()}
 
 
-@_replica_fn("lln43")
-def _lln43_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
+def _lln43_replica(params: dict, seed: int) -> list[Row]:
     grid: Sequence[int] = params["n_grid"]
     places: tuple[Place, ...] = params["places"]
     n_max = max(grid)
@@ -401,7 +391,7 @@ def run_lln43(
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
     params = {"n_grid": grid, "places": places, "encoding": _encode(mu)}
-    rows = _fan_out("lln43", mu, params, seed, samples, workers)
+    rows = _fan_out(_lln43_replica, params, seed, samples, workers)
     freqs = _event_freqs(rows, grid, "partial_height_rate", bound)
     summary = {
         "bound": bound,
@@ -439,8 +429,7 @@ def _event_freqs(
     return {n: hits[n] / totals[n] for n in grid if totals[n]}
 
 
-@_replica_fn("prop44")
-def _prop44_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
+def _prop44_replica(params: dict, seed: int) -> list[Row]:
     targets: dict[int, Fraction] = params["targets"]
     places: tuple[Place, ...] = params["places"]
     cotrunc: tuple[Place, ...] = params["cotrunc"]
@@ -494,6 +483,8 @@ def run_prop44(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if stab_factor < 1:
+        raise ValueError("stab_factor must be at least 1")
     grid = sorted(set(n_grid))
     places = tuple(places)
     profile = drift_profile(mu)
@@ -524,7 +515,7 @@ def run_prop44(
         "finite_probe": finite_probe,
         "real_probe": real_probe,
     }
-    rows = _fan_out("prop44", mu, params, seed, samples, workers)
+    rows = _fan_out(_prop44_replica, params, seed, samples, workers)
     freqs = _event_freqs(rows, grid, "adelic_rate", bound)
     misses = [r.value for r in rows if r.statistic == "probe_miss"]
     miss_rate = math.fsum(misses) / len(misses) if misses else 0.0
@@ -570,6 +561,8 @@ def run_entropy(
     sublinear growth (trivial boundary) makes increments collapse well below
     H_n/n, while a positive entropy rate keeps them comparable.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     rows = []
     entropies = [0.0]
     truncated_at: Optional[int] = None
@@ -629,8 +622,7 @@ def _ols_slope(points: list[tuple[int, float]]) -> float:
 # stationarity of the tail law
 
 
-@_replica_fn("stationarity")
-def _stationarity_replica(mu: StepDistribution, params: dict, seed: int) -> list[Row]:
+def _stationarity_replica(params: dict, seed: int) -> list[Row]:
     p: int = params["p"]
     radius: int = params["radius"]
     n: int = params["n"]
@@ -660,12 +652,12 @@ def _bucket_id(q: Fraction, p: int, radius: int) -> int:
     """Injective float-safe integer id of the ball key at this radius.
 
     The key is (valuation, unit residue); residue * 128 + (v + 64) separates
-    cleanly (id mod 128 recovers v) and stays exact in a 64-bit float for
-    every residue below 2^46.
+    cleanly (id mod 128 recovers v for -64 <= v < 64) and stays exact in a
+    64-bit float for every residue below 2^46.
     """
     key = ball_key_exact(q, p, radius)
     v, residue = key[2], key[3]
-    if not -64 <= v <= radius or residue >= (1 << 46):
+    if not -64 <= v < 64 or residue >= (1 << 46):
         raise ValueError(f"ball key ({v}, {residue}) outside encodable range")
     return residue * 128 + (v + 64)
 
@@ -698,7 +690,7 @@ def run_stationarity(
         "step_cap": DEFAULT_STEP_CAP,
         "encoding": _encode(mu),
     }
-    rows = _fan_out("stationarity", mu, params, seed, samples, workers)
+    rows = _fan_out(_stationarity_replica, params, seed, samples, workers)
     hist0: dict[float, int] = {}
     hist1: dict[float, int] = {}
     misses = 0

@@ -3,28 +3,29 @@
 A trajectory multiplies i.i.d. increments g_k = (a_k, b_k): the running
 product is x_n = (A_n, Z_n) with A_n = a_1...a_n and Z_n = sum A_{k-1} b_k,
 kept in integer form and read as exact rationals.  On a place with negative
-drift the translation part converges.  One lock rule serves every caller: walk
-until v_p(A_n) (or |A_n| on R) has been past its target for ``margin``
-consecutive steps, then probe by walking ``margin`` steps further and
-re-checking.  The probe outcome is recorded, never silently trusted.
+drift the translation part converges, and the boundary is the product of
+those places: one locked rational Z_N stands for the boundary point in every
+contracting place at once.  One lock rule serves every caller: walk until
+v_p(A_n) (or |A_n| on R) has been past its target for ``margin`` consecutive
+steps, then probe by walking ``margin`` steps further and re-checking.  The
+probe outcome is recorded, never silently trusted.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
     BudgetError,
     DegenerateMeasureError,
-    PrecisionError,
     StabilizationError,
 )
 from .exact import INFINITE_PLACE, Place, log_norm, prime_factors, valuation
-from .group import AffineMap, IDENTITY
+from .group import AffineMap, IDENTITY, compose
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
 from .prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
@@ -34,13 +35,8 @@ __all__ = [
     "sample_path",
     "BoundaryDigits",
     "boundary_digits",
-    "RealLimit",
-    "real_limit",
     "BoundarySample",
     "extract_boundary",
-    "tail_point",
-    "EmpiricalMeasure",
-    "empirical_measure",
     "DivergenceReport",
     "divergence_statistic",
     "increment_valuation_rate",
@@ -56,19 +52,20 @@ DEFAULT_MAX_BITS = 1_000_000
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A finite walk: increments g_1..g_n and running products x_0..x_n."""
+    """A finite walk: the drawn increments g_1..g_n."""
 
     seed: int
     steps: tuple[AffineMap, ...]
-    prefix: tuple[AffineMap, ...]
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
     def position(self, n: int) -> AffineMap:
-        """x_n = (A_n, Z_n)."""
-        return self.prefix[n]
+        """x_n = (A_n, Z_n) = g_1 ... g_n, for 0 <= n <= length."""
+        if not 0 <= n <= self.length:
+            raise IndexError(f"position {n} outside 0..{self.length}")
+        return reduce(compose, self.steps[:n], IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -209,9 +206,6 @@ class _Walker:
     def z(self) -> Fraction:
         return Fraction(self._n, self._scale * self._d)
 
-    def position(self) -> AffineMap:
-        return AffineMap(self.a, self.z)
-
 
 def sample_path(
     mu: StepDistribution,
@@ -226,12 +220,7 @@ def sample_path(
     if n < 0:
         raise ValueError("length must be nonnegative")
     walker = _Walker(_encode(mu), seed, max_bits)
-    steps = []
-    prefix = [IDENTITY]
-    for _ in range(n):
-        steps.append(mu.support[walker.step()])
-        prefix.append(walker.position())
-    return Trajectory(seed, tuple(steps), tuple(prefix))
+    return Trajectory(seed, tuple(mu.support[walker.step()] for _ in range(n)))
 
 
 def _lock(
@@ -300,31 +289,25 @@ def _probe(
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """Stabilized boundary coordinates extracted from one trajectory.
+    """Stabilized boundary coordinate extracted from one trajectory.
 
-    All representatives are the same exact rational Z taken at the
-    stabilization index; they approximate the limit coordinate in each
-    contracting place.  ``probes`` records, per place, whether extending the
-    walk by the margin left the locked resolution unchanged.
+    ``value`` is the exact Z at the stabilization index; the one rational
+    approximates the limit coordinate in every locked place at once, and
+    ``probe_value`` is Z after ``margin`` more steps.  ``real_interval``
+    encloses the real limit when R was locked.  ``probes`` records, per
+    place, whether extending the walk left the locked resolution unchanged.
     """
 
-    representatives: tuple[tuple[Place, Fraction], ...]
-    expansions: tuple[tuple[int, PadicExpansion], ...]
+    value: Fraction
+    probe_value: Fraction
     real_interval: Optional[tuple[float, float]]
     stabilization_index: int
     probes: tuple[tuple[Place, bool], ...]
     steps_total: int
-    probe_value: Fraction = Fraction(0)
 
     @property
     def probe_agreed(self) -> bool:
         return all(ok for _, ok in self.probes)
-
-    def representative(self, place: Place) -> Fraction:
-        for p, z in self.representatives:
-            if p == place:
-                return z
-        raise KeyError(f"no representative at place {place}")
 
 
 def extract_boundary(
@@ -346,7 +329,9 @@ def extract_boundary(
     geometric-series headroom safety = (1 - e^drift)/2.  The guarantee is
     probabilistic: after locking, the walk is extended by ``margin`` steps
     and each place's resolution re-checked; outcomes land in ``probes``.
-    The prefix of the same walk is ``sample_path(mu, n, seed)``.
+    With ``real_tol`` the sample's ``real_interval`` encloses the real limit
+    within tol (plus float slack).  The prefix of the same walk is
+    ``sample_path(mu, n, seed)``.
     """
     finite_targets = dict(finite_targets or {})
     if not finite_targets and real_tol is None:
@@ -372,33 +357,22 @@ def extract_boundary(
     _lock(walker, finite_targets, margin, step_cap, min_index, real)
     lock_index = walker.count
     rep, after, probes = _probe(walker, margin, finite_targets)
-    if real_tol is not None:
-        probes.append((INFINITE_PLACE, abs(float(after - rep)) <= real_tol / 2))
-
-    representatives = [(p, rep) for p in sorted(finite_targets)]
-    expansions = []
-    for p, t in sorted(finite_targets.items()):
-        v = valuation(rep, p) if rep != 0 else 0
-        n_digits = max(1, t - min(v, 0))
-        expansions.append((p, expand(rep, p, n_digits)))
     real_interval = None
     if real_tol is not None:
+        probes.append((INFINITE_PLACE, abs(float(after - rep)) <= real_tol / 2))
         center = float(rep)
         half = real_tol / 2.0
         real_interval = (
             math.nextafter(center - half, -math.inf),
             math.nextafter(center + half, math.inf),
         )
-        representatives.append((INFINITE_PLACE, rep))
-
     return BoundarySample(
-        representatives=tuple(representatives),
-        expansions=tuple(expansions),
+        value=rep,
+        probe_value=after,
         real_interval=real_interval,
         stabilization_index=lock_index,
         probes=tuple(probes),
         steps_total=walker.count,
-        probe_value=after,
     )
 
 
@@ -442,145 +416,15 @@ def boundary_digits(
         step_cap=step_cap,
         max_bits=max_bits,
     )
-    rep = sample.representative(p)
-    locked = expand(rep, p, n_digits)
+    locked = expand(sample.value, p, n_digits)
     probe = expand(sample.probe_value, p, n_digits)
     return BoundaryDigits(
         expansion=locked,
         probe_expansion=probe,
-        value=rep,
+        value=sample.value,
         stabilization_index=sample.stabilization_index,
         probe_agreed=(probe == locked),
         steps_total=sample.steps_total,
-    )
-
-
-@dataclass(frozen=True)
-class RealLimit:
-    """Float enclosure of the limiting translation coordinate on R."""
-
-    lo: float
-    hi: float
-    value: Fraction
-    stabilization_index: int
-    probe_agreed: bool
-    steps_total: int
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def real_limit(
-    mu: StepDistribution,
-    tol: float,
-    seed: int,
-    margin: int = DEFAULT_MARGIN,
-    step_cap: int = DEFAULT_STEP_CAP,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> RealLimit:
-    """Interval of width <= tol (plus float slack) around the real limit.
-
-    Requires drift < 0 at the infinite place (exact sign test).  Stops once
-    |A_n| * max|b| < tol * safety for ``margin`` consecutive steps, where
-    safety = (1 - e^drift)/2 is the geometric-series headroom.
-    """
-    sample = extract_boundary(
-        mu,
-        seed,
-        real_tol=tol,
-        margin=margin,
-        step_cap=step_cap,
-        max_bits=max_bits,
-    )
-    lo, hi = sample.real_interval
-    return RealLimit(
-        lo=lo,
-        hi=hi,
-        value=sample.representative(INFINITE_PLACE),
-        stabilization_index=sample.stabilization_index,
-        probe_agreed=sample.probe_agreed,
-        steps_total=sample.steps_total,
-    )
-
-
-def tail_point(
-    trajectory: Trajectory,
-    n: int,
-    boundary: BoundarySample,
-    places: Sequence[Place],
-) -> dict[Place, Fraction]:
-    """Exact coordinates of x_n^(-1) applied to the boundary representative.
-
-    Returns A_n^(-1) (z_p - Z_n) per requested place; its law should not
-    depend on n.  The boundary must have stabilized beyond n on the same
-    trajectory.
-    """
-    if n > trajectory.length:
-        raise PrecisionError(f"trajectory only has {trajectory.length} steps")
-    if boundary.stabilization_index <= n:
-        raise PrecisionError(
-            f"boundary stabilized at index {boundary.stabilization_index}, "
-            f"need strictly more than n = {n}"
-        )
-    x = trajectory.position(n)
-    return {p: (boundary.representative(p) - x.b) / x.a for p in places}
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Ball-key histogram of boundary samples in one Q_p."""
-
-    p: int
-    radius_exponent: int
-    samples: int
-    counts: tuple[tuple[tuple, int], ...]
-    max_ball_mass: float
-    probe_misses: int
-
-    def as_counter(self) -> Counter:
-        return Counter(dict(self.counts))
-
-
-def empirical_measure(
-    mu: StepDistribution,
-    p: int,
-    radius_exponent: int,
-    samples: int,
-    seed: int,
-    margin: int = DEFAULT_MARGIN,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> EmpiricalMeasure:
-    """Histogram of the boundary law over p-adic balls of one radius.
-
-    Runs ``samples`` independent replicas (seed derivation is the package
-    PRNG contract), buckets each stabilized representative by its ball key,
-    and reports the largest ball mass.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    target = max(radius_exponent + 1, 1)
-    counts: Counter = Counter()
-    probe_misses = 0
-    for i in range(samples):
-        sample = extract_boundary(
-            mu,
-            replica_seed(seed, i),
-            finite_targets={p: target},
-            margin=margin,
-            step_cap=step_cap,
-        )
-        if not sample.probe_agreed:
-            probe_misses += 1
-        counts[ball_key_exact(sample.representative(p), p, radius_exponent)] += 1
-    ordered = tuple(sorted(counts.items(), key=lambda kv: repr(kv[0])))
-    return EmpiricalMeasure(
-        p=p,
-        radius_exponent=radius_exponent,
-        samples=samples,
-        counts=ordered,
-        max_ball_mass=max(counts.values()) / samples,
-        probe_misses=probe_misses,
     )
 
 

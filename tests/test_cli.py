@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from affwalk.cli import main
 
@@ -103,8 +107,12 @@ class TestExitCodes:
             ({"walk": {"n": "abc"}}, ["walk"]),
             ({"walk": {"n": None}}, ["walk"]),
             (None, ["boundary", "--p", "2", "--margin", "0"]),
+            ({"prop44": {"stab_factor": 0}}, ["prop44", "--places", "2"]),
+            (None, ["walk", "--n", "-3"]),
+            (None, ["entropy", "--n-max", "-2"]),
         ],
-        ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0"],
+        ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0", "stab-factor-0",
+             "walk-n-negative", "n-max-negative"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, section, argv):
         cfg = tmp_path / "cfg.json"
@@ -113,6 +121,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+# a cheap valid section per subcommand: grids stay at n <= 10 and samples at 2
+_BASE_SECTIONS = {
+    "validate": {},
+    "drift": {},
+    "gauge": {"k": 1, "k_max": 2},
+    "walk": {"n": 10, "primes": [2], "seed": 1},
+    "boundary": {"p": 2, "digits": 4, "margin": 2, "step_cap": 1000, "seed": 1},
+    "lln41": {"n_grid": [5, 10], "samples": 2, "seed": 1, "final_bound": 0.5},
+    "lln43": {
+        "places": [2], "n_grid": [5, 10], "samples": 2, "seed": 1,
+        "epsilon": 0.1, "freq_threshold": 0.5,
+    },
+    "prop44": {
+        "places": [2], "n_grid": [5, 10], "samples": 2, "seed": 1,
+        "epsilon": 0.1, "freq_threshold": 0.5, "stab_factor": 2, "margin": 2,
+    },
+    "entropy": {"n_max": 4, "cell_budget": 100},
+}
+_KEYS = sorted({key for section in _BASE_SECTIONS.values() for key in section})
+_SCALARS = st.sampled_from([-3, 0, 1, 2, 1.5, "abc", None, "nan", []])
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=2))
+
+
+class TestFuzzedConfig:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(sorted(_BASE_SECTIONS)),
+        overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3),
+        replicas=st.sampled_from([None, 1, 2, 3]),
+    )
+    @example(command="prop44", overrides={"stab_factor": 0}, replicas=None)
+    @example(command="walk", overrides={"n": -3}, replicas=None)
+    @example(command="entropy", overrides={"n_max": -3}, replicas=None)
+    def test_exit_code_contract(self, tmp_path, command, overrides, replicas):
+        # keys a subcommand does not read are ignored, as in any config file
+        section = {**_BASE_SECTIONS[command], **overrides}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**REV, command: section}))
+        argv = ["--config", str(cfg)]
+        if replicas is not None:
+            argv += ["--replicas", str(replicas)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [command])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert "# passed false" in out.getvalue()
+        if code in (2, 3):
+            assert len(err.getvalue().splitlines()) == 1
 
 
 class TestOutputs:

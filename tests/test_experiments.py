@@ -163,6 +163,12 @@ class TestMonteCarloSuites:
             run_stationarity(mu_rev, 2, radius_exponent=40, n=50, samples=2, seed=0)
         assert info.value.steps == 60
 
+    def test_bucket_id_rejects_valuations_that_wrap(self):
+        # v = 64 with residue 1 would share id 256 with v = -64, residue 2
+        assert experiments._bucket_id(F(2, 3**64), 3, 70) == 256
+        with pytest.raises(ValueError):
+            experiments._bucket_id(F(3**64), 3, 70)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

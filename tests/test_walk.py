@@ -12,19 +12,14 @@ from affwalk import (
     AffineMap,
     BudgetError,
     DegenerateMeasureError,
-    PrecisionError,
     StabilizationError,
     StepDistribution,
     ball_key_exact,
     boundary_digits,
-    compose,
     divergence_statistic,
-    empirical_measure,
     extract_boundary,
     increment_valuation_rate,
-    real_limit,
     sample_path,
-    tail_point,
     valuation,
 )
 from affwalk.measure import validate
@@ -85,11 +80,13 @@ def _measure(atoms):
 class TestSamplePath:
     def test_prefix_is_product_of_steps(self, mu_bias):
         traj = sample_path(mu_bias, seed=42, n=60)
-        acc = IDENTITY
-        for i, g in enumerate(traj.steps, start=1):
-            acc = compose(acc, g)
-            assert acc == traj.position(i)
+        reference, _ = _fraction_walk(mu_bias, 42, 60)
+        assert traj.steps == tuple(g for g, _, _ in reference)
+        for i, (_, a, z) in enumerate(reference, start=1):
+            assert traj.position(i) == AffineMap(a, z)
         assert traj.position(0) == IDENTITY
+        with pytest.raises(IndexError):
+            traj.position(61)
 
     def test_deterministic_in_seed(self, mu_rev):
         a = sample_path(mu_rev, seed=7, n=40)
@@ -150,24 +147,25 @@ class TestRealLimit:
     def test_interval_contains_known_fixed_point(self):
         # deterministic x -> x/2 + 1 has fixed point 2
         mu = StepDistribution({AffineMap(F(1, 2), 1): F(1)})
-        lim = real_limit(mu, seed=0, tol=1e-9)
-        assert lim.lo <= 2 <= lim.hi
-        assert lim.width <= 1e-9 * 1.01
+        lo, hi = extract_boundary(mu, seed=0, real_tol=1e-9).real_interval
+        assert lo <= 2 <= hi
+        assert hi - lo <= 1e-9 * 1.01
 
     def test_stochastic_interval_width(self, mu_bias):
-        lim = real_limit(mu_bias, seed=3, tol=1e-6)
-        assert lim.width <= 1e-6 * 1.01
-        assert lim.lo <= lim.value <= lim.hi
+        lim = extract_boundary(mu_bias, seed=3, real_tol=1e-6)
+        lo, hi = lim.real_interval
+        assert hi - lo <= 1e-6 * 1.01
+        assert lo <= lim.value <= hi
         assert lim.probe_agreed
 
     def test_halving_tolerance_nests(self, mu_bias):
-        wide = real_limit(mu_bias, seed=3, tol=1e-4)
-        narrow = real_limit(mu_bias, seed=3, tol=1e-8)
-        assert wide.lo - 1e-4 <= narrow.value <= wide.hi + 1e-4
+        lo, hi = extract_boundary(mu_bias, seed=3, real_tol=1e-4).real_interval
+        narrow = extract_boundary(mu_bias, seed=3, real_tol=1e-8)
+        assert lo - 1e-4 <= narrow.value <= hi + 1e-4
 
     def test_requires_contracting_infinite_place(self, mu_rev):
         with pytest.raises(ValueError):
-            real_limit(mu_rev, seed=0, tol=1e-6)
+            extract_boundary(mu_rev, seed=0, real_tol=1e-6)
 
 
 class TestExtractBoundary:
@@ -177,15 +175,13 @@ class TestExtractBoundary:
         assert all(ok for _, ok in sample.probes)
         # the same seed draws the same atoms, so sample_path gives the prefix
         n = sample.stabilization_index
-        assert sample_path(mu_rev, n, seed=1).position(n).b == sample.representative(2)
+        assert sample_path(mu_rev, n, seed=1).position(n).b == sample.value
 
     def test_representative_valuation_stability(self, mu_rev):
         # the 2-adic ball of the representative must match a later refinement
         coarse = extract_boundary(mu_rev, seed=2, finite_targets={2: 8})
         fine = extract_boundary(mu_rev, seed=2, finite_targets={2: 14})
-        r1 = coarse.representative(2)
-        r2 = fine.representative(2)
-        assert ball_key_exact(r1, 2, 8) == ball_key_exact(r2, 2, 8)
+        assert ball_key_exact(coarse.value, 2, 8) == ball_key_exact(fine.value, 2, 8)
 
     def test_min_index_respected(self, mu_rev):
         sample = extract_boundary(
@@ -208,28 +204,6 @@ class TestExtractBoundary:
     def test_needs_a_place(self, mu_rev):
         with pytest.raises(ValueError):
             extract_boundary(mu_rev, seed=0)
-
-
-class TestTailPoint:
-    def test_transport_identity(self, mu_rev):
-        traj = sample_path(mu_rev, 20, seed=6)
-        sample = extract_boundary(mu_rev, seed=6, finite_targets={2: 12}, min_index=20)
-        rep = sample.representative(2)
-        tp = tail_point(traj, 8, sample, [2])
-        x = traj.position(8)
-        assert tp[2] == (rep - x.b) / x.a
-
-    def test_zeroth_tail_is_representative(self, mu_rev):
-        traj = sample_path(mu_rev, 5, seed=6)
-        sample = extract_boundary(mu_rev, seed=6, finite_targets={2: 12}, min_index=5)
-        tp = tail_point(traj, 0, sample, [2])
-        assert tp[2] == sample.representative(2)
-
-    def test_rejects_indices_past_stabilization(self, mu_rev):
-        traj = sample_path(mu_rev, 5, seed=6)
-        sample = extract_boundary(mu_rev, seed=6, finite_targets={2: 6}, min_index=5)
-        with pytest.raises(PrecisionError):
-            tail_point(traj, sample.stabilization_index + 1, sample, [2])
 
 
 class TestDivergence:
@@ -262,19 +236,6 @@ class TestIncrementRate:
         mu = StepDistribution({AffineMap(2, 0): F(1, 2), AffineMap(F(1, 2), 0): F(1, 2)})
         with pytest.raises(ValueError):
             increment_valuation_rate(mu, 2, 100, seed=0)
-
-
-class TestEmpiricalMeasure:
-    def test_counts_and_misses(self, mu_rev):
-        em = empirical_measure(mu_rev, 2, radius_exponent=3, samples=300, seed=1)
-        assert sum(c for _, c in em.counts) == 300
-        assert em.probe_misses <= 3
-        assert 0 < em.max_ball_mass <= 1
-
-    def test_deterministic(self, mu_rev):
-        a = empirical_measure(mu_rev, 2, radius_exponent=3, samples=100, seed=1)
-        b = empirical_measure(mu_rev, 2, radius_exponent=3, samples=100, seed=1)
-        assert a.counts == b.counts
 
 
 class TestIntegerEngine:
