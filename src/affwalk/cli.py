@@ -4,8 +4,11 @@ Subcommands: validate, drift, gauge, walk, boundary, lln41, lln43, prop44,
 entropy.  Configuration is a JSON file with a "measure" block and optional
 per-subcommand parameter sections; command-line flags override the file.
 
-Exit codes: 0 pass, 1 bound-check fail, 2 config error, 3 resource budget
-exceeded (including walks that fail to stabilize within their step cap).
+Exit codes: 0 pass, 1 bound-check fail, 2 config error (including
+non-numeric, non-finite and, where an integer is required, non-integral
+values), 3 resource budget exceeded (including walks that fail to stabilize
+within their step cap, an entropy table truncated before its second step,
+and an infinite-drift sign undecided within its digit budget).
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
         "boundary contraction, height laws of large numbers, entropy.",
     )
     parser.add_argument("--config", help="JSON config file with the measure block")
-    parser.add_argument("--seed", type=int, default=None, help="base 64-bit seed")
+    parser.add_argument("--seed", default=None, help="base 64-bit seed")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument(
         "--replicas",
-        type=int,
         default=None,
         help="number of Monte Carlo replicas (overrides config samples)",
     )
@@ -71,19 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("drift", help="drift profile and contracting set")
 
     p_gauge = sub.add_parser("gauge", help="gauge enumeration and growth bound")
-    p_gauge.add_argument("--k", type=float, default=None, help="gauge radius")
-    p_gauge.add_argument("--k-max", type=float, default=None, help="enumeration cap")
+    p_gauge.add_argument("--k", default=None, help="gauge radius")
+    p_gauge.add_argument("--k-max", default=None, help="enumeration cap")
 
     p_walk = sub.add_parser("walk", help="dump one trajectory's growth")
-    p_walk.add_argument("--n", type=int, default=None, help="number of steps")
+    p_walk.add_argument("--n", default=None, help="number of steps")
     p_walk.add_argument(
         "--p", action="append", default=None, help="prime to track (repeatable)"
     )
 
     p_boundary = sub.add_parser("boundary", help="stabilized p-adic boundary digits")
     p_boundary.add_argument("--p", default=None, help="contracting finite prime")
-    p_boundary.add_argument("--digits", type=int, default=None, help="digit count")
-    p_boundary.add_argument("--margin", type=int, default=None)
+    p_boundary.add_argument("--digits", default=None, help="digit count")
+    p_boundary.add_argument("--margin", default=None)
 
     for name, help_text in (
         ("lln41", "decay of height(A_n^-1 q_n)/n"),
@@ -96,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
             p_lln.add_argument(
                 "--places", default=None, help='comma-separated, e.g. "2,inf"'
             )
-            p_lln.add_argument("--epsilon", type=float, default=None)
+            p_lln.add_argument("--epsilon", default=None)
 
     p_entropy = sub.add_parser("entropy", help="exact convolution entropy table")
-    p_entropy.add_argument("--n-max", type=int, default=None)
-    p_entropy.add_argument("--cell-budget", type=int, default=None)
+    p_entropy.add_argument("--n-max", default=None)
+    p_entropy.add_argument("--cell-budget", default=None)
 
     return parser
 
@@ -152,43 +154,41 @@ def _finite(value) -> float:
     return x
 
 
-def _parse_grid(value) -> list[int]:
+def _integral(value) -> int:
+    """``int(value)``, except that a float with a fractional part is rejected."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not an integer")
+    return int(value)
+
+
+def _items(value) -> list:
+    """A list as given, or the comma-separated parts of a string."""
     if isinstance(value, str):
-        value = [part for part in value.replace(" ", "").split(",") if part]
-    try:
-        grid = [int(v) for v in value]
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad n grid: {value!r}")
+        return [part for part in value.replace(" ", "").split(",") if part]
+    return list(value)
+
+
+def _grid(value) -> list[int]:
+    return [_integral(v) for v in _items(value)]
+
+
+def _places(value) -> list:
+    return [parse_place(str(v)) for v in _items(value)]
+
+
+def _n_grid(args, section: dict) -> list[int]:
+    grid = _pick(args.n_grid, section, "n_grid", list(DEFAULT_GRID), _grid)
     if not grid or any(n < 1 for n in grid):
         raise ConfigError("n grid must be positive integers")
     return grid
 
 
-def _parse_places(value) -> list:
-    if isinstance(value, str):
-        value = [part for part in value.replace(" ", "").split(",") if part]
-    try:
-        return [parse_place(str(v)) for v in value]
-    except ValueError as exc:
-        raise ConfigError(f"bad place list: {exc}")
-    except TypeError:
-        raise ConfigError(f"bad place list: {value!r}")
-
-
 def _base_seed(args, section: dict) -> int:
-    seed = args.seed if args.seed is not None else section.get("seed", 0)
-    try:
-        return int(seed) & (1 << 64) - 1
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad seed: {seed!r}")
+    return _pick(args.seed, section, "seed", 0, _integral) & (1 << 64) - 1
 
 
 def _samples(args, section: dict, default: int) -> int:
-    n = args.replicas if args.replicas is not None else section.get("samples", default)
-    try:
-        n = int(n)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad sample count: {n!r}")
+    n = _pick(args.replicas, section, "samples", default, _integral)
     if n < 1:
         raise ConfigError("sample count must be at least 1")
     return n
@@ -211,19 +211,18 @@ def _dispatch(args, cfg: dict) -> Report:
     if cmd == "walk":
         section = _section(cfg, "walk")
         mu = _need_measure(cfg)
-        n = _pick(args.n, section, "n", 100, int)
-        primes = _pick(args.p, section, "primes", [])
-        primes = [p for p in _parse_places(primes) if p != INFINITE_PLACE]
+        n = _pick(args.n, section, "n", 100, _integral)
+        primes = _pick(args.p, section, "primes", [], _places)
+        primes = [p for p in primes if p != INFINITE_PLACE]
         return run_walk(mu, n, _base_seed(args, section), primes)
     if cmd == "boundary":
         return _run_boundary(args, cfg)
     if cmd == "lln41":
         section = _section(cfg, "lln41")
         mu = _need_measure(cfg)
-        grid = _parse_grid(_pick(args.n_grid, section, "n_grid", list(DEFAULT_GRID)))
         return run_lln41(
             mu,
-            n_grid=grid,
+            n_grid=_n_grid(args, section),
             samples=_samples(args, section, DEFAULT_SAMPLES),
             seed=_base_seed(args, section),
             final_bound=_pick(None, section, "final_bound", 0.05 * math.log(2), _finite),
@@ -232,12 +231,11 @@ def _dispatch(args, cfg: dict) -> Report:
     if cmd == "lln43":
         section = _section(cfg, "lln43")
         mu = _need_measure(cfg)
-        places = _parse_places(_pick(args.places, section, "places", []))
-        grid = _parse_grid(_pick(args.n_grid, section, "n_grid", list(DEFAULT_GRID)))
+        places = _pick(args.places, section, "places", [], _places)
         return run_lln43(
             mu,
             places,
-            n_grid=grid,
+            n_grid=_n_grid(args, section),
             samples=_samples(args, section, DEFAULT_SAMPLES),
             seed=_base_seed(args, section),
             epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
@@ -247,20 +245,19 @@ def _dispatch(args, cfg: dict) -> Report:
     if cmd == "prop44":
         section = _section(cfg, "prop44")
         mu = _need_measure(cfg)
-        places = _parse_places(_pick(args.places, section, "places", []))
+        places = _pick(args.places, section, "places", [], _places)
         if not places:
             raise ConfigError("prop44 needs a non-empty place list")
-        grid = _parse_grid(_pick(args.n_grid, section, "n_grid", list(DEFAULT_GRID)))
         return run_prop44(
             mu,
             places,
-            n_grid=grid,
+            n_grid=_n_grid(args, section),
             samples=_samples(args, section, DEFAULT_SAMPLES),
             seed=_base_seed(args, section),
             epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
             freq_threshold=_pick(None, section, "freq_threshold", 0.9, _finite),
-            stab_factor=_pick(None, section, "stab_factor", 4, int),
-            margin=_pick(None, section, "margin", DEFAULT_MARGIN, int),
+            stab_factor=_pick(None, section, "stab_factor", 4, _integral),
+            margin=_pick(None, section, "margin", DEFAULT_MARGIN, _integral),
             workers=args.workers,
         )
     if cmd == "entropy":
@@ -268,9 +265,9 @@ def _dispatch(args, cfg: dict) -> Report:
         mu = _need_measure(cfg)
         return run_entropy(
             mu,
-            n_max=_pick(args.n_max, section, "n_max", 12, int),
+            n_max=_pick(args.n_max, section, "n_max", 12, _integral),
             cell_budget=_pick(
-                args.cell_budget, section, "cell_budget", DEFAULT_CELL_BUDGET, int
+                args.cell_budget, section, "cell_budget", DEFAULT_CELL_BUDGET, _integral
             ),
         )
     raise ConfigError(f"unknown command {cmd!r}")
@@ -285,9 +282,9 @@ def _run_boundary(args, cfg: dict) -> Report:
     p = parse_place(str(p_raw))
     if p == INFINITE_PLACE:
         raise ConfigError("boundary digits need a finite prime")
-    digits = _pick(args.digits, section, "digits", 16, int)
-    margin = _pick(args.margin, section, "margin", DEFAULT_MARGIN, int)
-    step_cap = _pick(None, section, "step_cap", DEFAULT_STEP_CAP, int)
+    digits = _pick(args.digits, section, "digits", 16, _integral)
+    margin = _pick(args.margin, section, "margin", DEFAULT_MARGIN, _integral)
+    step_cap = _pick(None, section, "step_cap", DEFAULT_STEP_CAP, _integral)
     seed = _base_seed(args, section)
     result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
     rows = [
@@ -335,14 +332,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"stabilization failed: {exc}", file=sys.stderr)
         return 3
 
-    if args.command == "entropy":
-        computed = report.summary.get("computed_to", 0)
-        wanted = report.summary.get("n_max", 0)
-        if wanted > 1 and computed <= 1:
-            # nothing beyond the one-step law fit in the cell budget
-            print("resource budget exceeded: convolution table truncated at "
-                  f"n={computed}", file=sys.stderr)
-            return 3
+    if "truncated_at" in report.summary and report.summary["computed_to"] <= 1:
+        # nothing beyond the one-step law fit in the cell budget
+        print("resource budget exceeded: convolution table truncated at "
+              f"n={report.summary['truncated_at']}", file=sys.stderr)
+        return 3
 
     text = render_json(report) if args.format == "json" else render_csv(report)
     if args.out:

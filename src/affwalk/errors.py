@@ -7,7 +7,6 @@ __all__ = [
     "ConfigError",
     "BudgetError",
     "StabilizationError",
-    "PrecisionError",
     "DegenerateMeasureError",
 ]
 
@@ -34,10 +33,6 @@ class StabilizationError(AffwalkError):
     def __init__(self, message: str, steps: int | None = None):
         super().__init__(message)
         self.steps = steps
-
-
-class PrecisionError(AffwalkError):
-    """An expansion or boundary sample lacks the digits an operation needs."""
 
 
 class DegenerateMeasureError(AffwalkError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 __all__ = [
     "INFINITE_PLACE",
@@ -23,7 +23,6 @@ __all__ = [
     "log_norm_plus",
     "height",
     "height_plus",
-    "partial_height_plus",
     "prime_factors",
     "support_primes",
     "format_rational",
@@ -81,12 +80,6 @@ def _require_finite_prime(p: Place) -> int:
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"not a prime: {p!r}")
     return p
-
-
-def _require_place(p: Place) -> Place:
-    if p == INFINITE_PLACE:
-        return p
-    return _require_finite_prime(p)
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -166,24 +159,6 @@ def height_plus(q: RationalLike) -> float:
     if q == 0:
         return 0.0
     return math.log(max(abs(q.numerator), q.denominator))
-
-
-def partial_height_plus(
-    coords: Mapping[Place, RationalLike], places: Iterable[Place]
-) -> float:
-    """Sum of ln+|z_p|_p over the given places.
-
-    ``coords`` holds exact rational coordinates; places missing from it are
-    treated as the coordinate 0, contributing nothing.
-    """
-    total = 0.0
-    for place in places:
-        place = _require_place(place)
-        z = coords.get(place)
-        if z is None:
-            continue
-        total += log_norm_plus(z, place)
-    return total
 
 
 def _rho_factor(n: int) -> int:

@@ -22,7 +22,6 @@ from .exact import (
     height,
     height_plus,
     log_norm_plus,
-    parse_rational,
 )
 
 __all__ = [
@@ -32,14 +31,10 @@ __all__ = [
     "inverse",
     "act",
     "format_affine",
-    "parse_affine",
     "HPoint",
-    "H_IDENTITY",
     "embed",
     "h_compose",
-    "h_inverse",
     "adelic_length",
-    "gauge_member",
     "gauge_enumerate",
     "GAUGE_K_MAX",
     "gauge_count_bound",
@@ -98,11 +93,6 @@ def format_affine(g: AffineMap) -> str:
     return f"a={format_rational(g.a)};b={format_rational(g.b)}"
 
 
-def parse_affine(text: str) -> AffineMap:
-    parts = dict(item.split("=", 1) for item in text.strip().split(";"))
-    return AffineMap(parse_rational(parts["a"]), parse_rational(parts["b"]))
-
-
 def _place_order(p: Place) -> tuple[int, float]:
     return (1, 0.0) if p == math.inf else (0, p)
 
@@ -144,9 +134,6 @@ class HPoint:
         return self.default
 
 
-H_IDENTITY = HPoint(1, 0)
-
-
 def embed(g: AffineMap) -> HPoint:
     """Diagonal embedding: the same rational translation at every place."""
     return HPoint(g.a, g.b)
@@ -159,11 +146,6 @@ def h_compose(y1: HPoint, y2: HPoint) -> HPoint:
     return HPoint(y1.a * y2.a, y1.a * y2.default + y1.default, merged)
 
 
-def h_inverse(y: HPoint) -> HPoint:
-    merged = {p: -z / y.a for p, z in y.overrides}
-    return HPoint(1 / y.a, -y.default / y.a, merged)
-
-
 def adelic_length(y: HPoint) -> float:
     """height(a) + sum over all places of ln+ of the translation norms.
 
@@ -174,15 +156,6 @@ def adelic_length(y: HPoint) -> float:
     for place, z in y.overrides:
         total += log_norm_plus(z, place) - log_norm_plus(y.default, place)
     return total
-
-
-def gauge_member(g: AffineMap, y: HPoint, k: float) -> bool:
-    """Whether g lies in the gauge set of center y and radius k.
-
-    Membership means the adelic length of g^(-1) * y is at most k (up to
-    BOUNDARY_TOL for float radii).
-    """
-    return adelic_length(h_compose(h_inverse(embed(g)), y)) <= k + BOUNDARY_TOL
 
 
 def gauge_count_bound(k: float) -> float:
@@ -226,7 +199,8 @@ def gauge_enumerate(k: float, k_max: float = GAUGE_K_MAX) -> list[AffineMap]:
     """All (a, b) with height(a) + height_plus(b) <= k, sorted canonically.
 
     This is the norm ball whose inverse image is the gauge of center (1, 0):
-    g is enumerated here exactly when gauge_member(inverse(g), identity, k).
+    g is enumerated here exactly when inverse(g) lies in that gauge, that is
+    when adelic_length(embed(g)) <= k.
     Uses the closed forms height(r/s) = ln(r*s) and
     height_plus(r'/s') = ln(max(r', s')) over coprime pairs; boundary ties
     are kept within BOUNDARY_TOL.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping
 
@@ -18,8 +19,6 @@ from .exact import (
     INFINITE_PLACE,
     Place,
     format_rational,
-    height,
-    height_plus,
     parse_rational,
     support_primes,
     valuation,
@@ -35,7 +34,6 @@ __all__ = [
     "drift",
     "drift_profile",
     "contracting_set",
-    "first_moment",
     "q_approximant",
     "reflect",
     "convolve",
@@ -47,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_CELL_BUDGET = 10**7
+
+# precision (decimal digits) past which the infinite drift's sign is given up
+_SIGN_DIGITS = 1024
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,6 @@ class DriftProfile:
     vp_means: tuple[tuple[int, Fraction], ...]
     infinite_sign: int
 
-    def finite(self) -> dict[int, float]:
-        return dict(self.finite_drifts)
-
     def exact(self) -> dict[int, Fraction]:
         return dict(self.vp_means)
 
@@ -184,22 +182,34 @@ class DriftProfile:
         return out
 
 
-def _infinite_sign(mu: StepDistribution) -> int:
-    """Exact sign of the infinite drift via one integer comparison.
+def _infinite_sign(vp_means: tuple[tuple[int, Fraction], ...]) -> int:
+    """Exact sign of the infinite drift sum_p vp_mean(p) * ln(p).
 
-    With weights w_i = e_i / L over a common denominator L, the sign of
-    sum w_i ln|a_i| is the sign of prod |num_i|^{e_i} - prod den_i^{e_i}.
+    Logs of primes are linearly independent over Q, so the drift is 0 exactly
+    when every vp_mean is.  Otherwise a nonzero linear form in logarithms is
+    bounded away from 0 (Baker 1966): the sum is evaluated in decimal at 32,
+    64, ... digits until it clears its rounding-error bound, and a
+    BudgetError is raised past ``_SIGN_DIGITS`` digits.
     """
-    lcm = 1
-    for w in mu.weights:
-        lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
-    num_prod = 1
-    den_prod = 1
-    for g, w in mu.atoms:
-        e = w.numerator * (lcm // w.denominator)
-        num_prod *= abs(g.a.numerator) ** e
-        den_prod *= g.a.denominator ** e
-    return (num_prod > den_prod) - (num_prod < den_prod)
+    terms = [(c, p) for p, c in vp_means if c]
+    if not terms:
+        return 0
+    digits = 32
+    while digits <= _SIGN_DIGITS:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            parts = [Decimal(c.numerator) / c.denominator * Decimal(p).ln() for c, p in terms]
+            total = sum(parts)
+            # three roundings per part and one per addition, each at most
+            # half a unit in the last digit; the slack is twice that bound
+            slack = (len(parts) + 4) * sum(map(abs, parts)) * Decimal(10) ** (1 - digits)
+        if abs(total) > slack:
+            return 1 if total > 0 else -1
+        digits *= 2
+    raise BudgetError(
+        f"sign of the infinite drift undecided at {_SIGN_DIGITS} digits",
+        reached=_SIGN_DIGITS,
+    )
 
 
 def drift_profile(mu: StepDistribution) -> DriftProfile:
@@ -215,17 +225,12 @@ def drift_profile(mu: StepDistribution) -> DriftProfile:
         raise AssertionError(
             f"drift bookkeeping mismatch: {direct} vs {infinite}"
         )
-    return DriftProfile(finite, infinite, vp_means, _infinite_sign(mu))
+    return DriftProfile(finite, infinite, vp_means, _infinite_sign(vp_means))
 
 
 def contracting_set(mu: StepDistribution) -> set[Place]:
     """Places where the walk's linear part contracts (drift < 0, exact test)."""
     return drift_profile(mu).contracting()
-
-
-def first_moment(mu: StepDistribution) -> float:
-    """Mean adelic length of one step: sum of w * (height(a) + height_plus(b))."""
-    return math.fsum(float(w) * (height(g.a) + height_plus(g.b)) for g, w in mu.atoms)
 
 
 def q_approximant(profile: DriftProfile, n: int) -> Fraction:

@@ -8,21 +8,12 @@ boundary points and for histogramming empirical measures on Q_p.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .errors import PrecisionError
 from .exact import valuation, _require_finite_prime
 
-__all__ = [
-    "PadicExpansion",
-    "expand",
-    "padic_log_distance",
-    "ball_key",
-    "ball_key_exact",
-]
+__all__ = ["PadicExpansion", "expand", "ball_key_exact"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +27,6 @@ class PadicExpansion:
     p: int
     start_exponent: int
     digits: tuple[int, ...]
-    exact_source: Optional[Fraction] = field(default=None, compare=False)
 
     def __post_init__(self):
         _require_finite_prime(self.p)
@@ -47,21 +37,6 @@ class PadicExpansion:
         if self.digits[0] == 0:
             if any(self.digits) or self.start_exponent != 0:
                 raise ValueError("leading digit must be nonzero unless value is 0")
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.digits[0] == 0
-
-    def value_mod(self) -> Fraction:
-        """Re-sum the digits: congruent to the source mod p^(start+N)."""
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.p + d
-        return Fraction(total) * Fraction(self.p) ** self.start_exponent
 
     def render(self) -> str:
         """Digit string "d_v d_{v+1} ... (base p), start=v" for reports."""
@@ -81,7 +56,7 @@ def expand(q, p: int, n_digits: int) -> PadicExpansion:
         raise ValueError("precision must be at least 1")
     q = Fraction(q)
     if q == 0:
-        return PadicExpansion(p, 0, (0,) * n_digits, exact_source=q)
+        return PadicExpansion(p, 0, (0,) * n_digits)
     v = valuation(q, p)
     unit = q / Fraction(p) ** v
     modulus = p**n_digits
@@ -90,50 +65,15 @@ def expand(q, p: int, n_digits: int) -> PadicExpansion:
     for _ in range(n_digits):
         residue, d = divmod(residue, p)
         digits.append(d)
-    return PadicExpansion(p, v, tuple(digits), exact_source=q)
-
-
-def padic_log_distance(q1, q2, p: int) -> float:
-    """ln|q1 - q2|_p for distinct rationals."""
-    q1, q2 = Fraction(q1), Fraction(q2)
-    if q1 == q2:
-        raise ValueError("distance undefined for equal inputs")
-    return -valuation(q1 - q2, p) * math.log(p)
-
-
-def ball_key(e: PadicExpansion, radius_exponent: int) -> tuple:
-    """Hashable label of the closed ball of radius p^(-radius_exponent).
-
-    Two expansions get the same key exactly when their values q1, q2 satisfy
-    v_p(q1 - q2) >= radius_exponent.  Raises PrecisionError when the expansion
-    does not carry digits through position radius_exponent - 1.
-    """
-    p, v = e.p, e.start_exponent
-    if e.is_zero or v >= radius_exponent:
-        if e.is_zero and v + e.precision < radius_exponent:
-            # an all-zero expansion only certifies v_p >= start + precision
-            raise PrecisionError(
-                f"zero expansion of precision {e.precision} cannot resolve "
-                f"radius exponent {radius_exponent}"
-            )
-        return (p, radius_exponent, radius_exponent, 0)
-    needed = radius_exponent - v
-    if e.precision < needed:
-        raise PrecisionError(
-            f"expansion has {e.precision} digits from exponent {v}, "
-            f"needs {needed} for radius exponent {radius_exponent}"
-        )
-    residue = 0
-    for d in reversed(e.digits[:needed]):
-        residue = residue * p + d
-    return (p, radius_exponent, v, residue)
+    return PadicExpansion(p, v, tuple(digits))
 
 
 def ball_key_exact(q, p: int, radius_exponent: int) -> tuple:
-    """Ball key computed straight from an exact rational (no truncation).
+    """Hashable label of the closed ball of radius p^(-radius_exponent) around q.
 
-    Agrees with ball_key(expand(q, p, N), radius_exponent) whenever N
-    suffices; unlike the expansion route it never lacks precision.
+    Two rationals get the same key exactly when v_p(q1 - q2) >= radius_exponent.
+    The key is (p, radius, v, residue): v = v_p(q) and the unit part's residue
+    modulo p^(radius - v), or (p, radius, radius, 0) for the ball around 0.
     """
     p = _require_finite_prime(p)
     q = Fraction(q)

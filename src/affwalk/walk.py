@@ -17,14 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Optional, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import (
-    BudgetError,
-    DegenerateMeasureError,
-    StabilizationError,
-)
-from .exact import INFINITE_PLACE, Place, log_norm, prime_factors, valuation
+from .errors import BudgetError, DegenerateMeasureError, StabilizationError
+from .exact import INFINITE_PLACE, Place, format_place, log_norm, prime_factors, valuation
 from .group import AffineMap, IDENTITY, compose
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
@@ -267,12 +264,14 @@ def _lock(
 
 
 def _probe(
-    walker: _Walker, margin: int, targets: Mapping[int, int]
+    walker: _Walker, margin: int, targets: Mapping[int, int], real_bound: Optional[float] = None
 ) -> tuple[Fraction, Fraction, list[tuple[Place, bool]]]:
-    """Z now, Z after ``margin`` more steps, and whether they agree per prime.
+    """Z now, Z after ``margin`` more steps, and whether they agree per place.
 
     The agreement list holds, for each prime p with target t in increasing
-    p, whether both values lie in the same ball of radius p^-t.
+    p, whether both values lie in the same ball of radius p^-t.  With
+    ``real_bound`` it ends with R, which agrees while ln|Z after - Z now| is at
+    most that bound.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
@@ -284,6 +283,9 @@ def _probe(
         (p, ball_key_exact(rep, p, t) == ball_key_exact(after, p, t))
         for p, t in sorted(targets.items())
     ]
+    if real_bound is not None:
+        close = after == rep or log_norm(after - rep, INFINITE_PLACE) <= real_bound
+        agreed.append((INFINITE_PLACE, close))
     return rep, after, agreed
 
 
@@ -341,7 +343,7 @@ def extract_boundary(
     for p in finite_targets:
         if p not in contracting:
             raise ValueError(f"prime {p} does not contract (drift >= 0)")
-    real = None
+    real = real_bound = None
     if real_tol is not None:
         if INFINITE_PLACE not in contracting:
             raise ValueError("the infinite place does not contract (drift >= 0)")
@@ -352,14 +354,14 @@ def extract_boundary(
         # with every b = 0, Z stays 0 and R is always locked
         need = math.log(real_tol * safety) - math.log(max_b) if max_b else math.inf
         real = (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
+        real_bound = math.log(real_tol / 2)
 
     walker = _Walker(_encode(mu), seed, max_bits)
     _lock(walker, finite_targets, margin, step_cap, min_index, real)
     lock_index = walker.count
-    rep, after, probes = _probe(walker, margin, finite_targets)
+    rep, after, probes = _probe(walker, margin, finite_targets, real_bound)
     real_interval = None
     if real_tol is not None:
-        probes.append((INFINITE_PLACE, abs(float(after - rep)) <= real_tol / 2))
         center = float(rep)
         half = real_tol / 2.0
         real_interval = (
@@ -428,6 +430,22 @@ def boundary_digits(
     )
 
 
+def _draws(thresholds: Sequence[int], seed: int) -> Iterator[int]:
+    """Atom indices of one seed's stream, drawn as ``_Walker.step`` draws them."""
+    rng = SplitMix64(seed)
+    while True:
+        yield pick_index(rng.next_u64(), thresholds)
+
+
+def _valuation_table(mu: StepDistribution, place: Place) -> tuple[list, list]:
+    """Per atom, v_p(a) and v_p(b), with ln|.| in place of v_p on R; None at b = 0."""
+
+    def v(q: Fraction):
+        return log_norm(q, place) if place == INFINITE_PLACE else valuation(q, place)
+
+    return [v(g.a) for g in mu.support], [None if g.b == 0 else v(g.b) for g in mu.support]
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     """Monte Carlo mean of the running-maximum statistic on one place."""
@@ -452,38 +470,20 @@ def divergence_statistic(
     approaches the positive part of the drift, witnessing that |Z_n|_p does
     not stay bounded.  Contracting places are rejected.
     """
-    profile = drift_profile(mu)
-    if place == INFINITE_PLACE:
-        if profile.infinite_sign < 0:
-            raise ValueError("infinite place contracts; statistic undefined")
-    else:
-        if profile.exact().get(place, Fraction(0)) > 0:
-            raise ValueError(f"prime {place} contracts; statistic undefined")
-
-    atoms = mu.support
+    if place in drift_profile(mu).contracting():
+        raise ValueError(f"place {format_place(place)} contracts; statistic undefined")
+    incr_a, incr_b = _valuation_table(mu, place)
+    # ln|A_{k-1} b_k|_p = (running + incr_b) * scale
+    scale = 1.0 if place == INFINITE_PLACE else -math.log(place)
     thresholds = cumulative_thresholds(mu.weights)
-    if place == INFINITE_PLACE:
-        incr_a = [log_norm(g.a, INFINITE_PLACE) for g in atoms]
-        incr_b = [None if g.b == 0 else log_norm(g.b, INFINITE_PLACE) for g in atoms]
-        log_p = 1.0
-    else:
-        incr_a = [valuation(g.a, place) for g in atoms]
-        incr_b = [None if g.b == 0 else valuation(g.b, place) for g in atoms]
-        log_p = math.log(place)
-
     values = []
     for i in range(samples):
-        rng = SplitMix64(replica_seed(seed, i))
         running = 0.0  # v_p(A_{k-1}) (finite p) or ln|A_{k-1}| (infinite)
         best = 0.0
-        for _ in range(n):
-            j = pick_index(rng.next_u64(), thresholds)
+        for j in islice(_draws(thresholds, replica_seed(seed, i)), n):
             vb = incr_b[j]
             if vb is not None:
-                if place == INFINITE_PLACE:
-                    term = running + vb
-                else:
-                    term = -(running + vb) * log_p
+                term = (running + vb) * scale
                 if term > best:
                     best = term
             running += incr_a[j]
@@ -511,18 +511,16 @@ def increment_valuation_rate(
     On contracting primes this approaches -drift/1 (positive), mirroring the
     geometric decay of the tail.  Returned in nats: v_p * ln(p) / n.
     """
-    atoms = mu.support
-    if all(g.b == 0 for g in atoms):
+    if p == INFINITE_PLACE:
+        raise ValueError("the increment valuation needs a finite prime")
+    if all(g.b == 0 for g in mu.support):
         raise ValueError("no translation atoms: Z never moves")
-    thresholds = cumulative_thresholds(mu.weights)
-    atom_vp = [valuation(g.a, p) for g in atoms]
-    atom_vb = [None if g.b == 0 else valuation(g.b, p) for g in atoms]
-    rng = SplitMix64(seed)
+    atom_vp, atom_vb = _valuation_table(mu, p)
+    draws = _draws(cumulative_thresholds(mu.weights), seed)
     running = 0
-    for _ in range(n):
-        running += atom_vp[pick_index(rng.next_u64(), thresholds)]
-    for _ in range(search_cap):
-        j = pick_index(rng.next_u64(), thresholds)
+    for j in islice(draws, n):
+        running += atom_vp[j]
+    for j in islice(draws, search_cap):
         vb = atom_vb[j]
         if vb is not None:
             return (running + vb) * math.log(p) / n

@@ -2,11 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from affwalk import measure
 from affwalk.cli import main
 
 BIAS = {
@@ -99,6 +103,47 @@ class TestExitCodes:
     def test_gauge_needs_k(self, bias_config):
         assert main(["--config", bias_config, "gauge"]) == 2
 
+    def test_entropy_truncated_at_first_step(self, bias_config, capsys):
+        code = main(
+            ["--config", bias_config, "entropy", "--n-max", "1", "--cell-budget", "1"]
+        )
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**REV, "walk": {"n": 3.0}}))
+        assert main(["--config", str(cfg), "walk"]) == 0
+        assert '"steps":3' in capsys.readouterr().out
+
+    def test_drift_with_weights_over_a_large_prime(self, tmp_path, capsys):
+        p = 10**9 + 7
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"atoms": [
+            {"a": "2", "b": "0", "w": f"1/{p}"},
+            {"a": "1/3", "b": "1", "w": f"{p - 1}/{p}"},
+        ]}}))
+        start = time.perf_counter()
+        assert main(["--config", str(cfg), "drift"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert '"infinite_sign":-1' in capsys.readouterr().out
+
+    def test_drift_sign_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        # weights ln 2 / ln 6 to 80 digits: the drift is about 10^-80
+        with localcontext() as ctx:
+            ctx.prec = 80
+            w = Fraction(Decimal(2).ln() / Decimal(6).ln())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"atoms": [
+            {"a": "3", "b": "0", "w": str(w)},
+            {"a": "1/2", "b": "1", "w": str(1 - w)},
+        ]}}))
+        monkeypatch.setattr(measure, "_SIGN_DIGITS", 64)
+        assert main(["--config", str(cfg), "drift"]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        monkeypatch.undo()
+        assert main(["--config", str(cfg), "drift"]) == 0
+
     @pytest.mark.parametrize(
         "section, argv",
         [
@@ -110,9 +155,18 @@ class TestExitCodes:
             ({"prop44": {"stab_factor": 0}}, ["prop44", "--places", "2"]),
             (None, ["walk", "--n", "-3"]),
             (None, ["entropy", "--n-max", "-2"]),
+            ({"walk": {"n": 2.9}}, ["walk"]),
+            (None, ["walk", "--n", "2.9"]),
+            ({"lln41": {"n_grid": [10, 20.5]}}, ["lln41"]),
+            ({"lln41": {"samples": 1.5}}, ["lln41"]),
+            ({"walk": {"seed": 0.5}}, ["walk"]),
+            (None, ["--seed", "abc", "walk"]),
+            (None, ["--replicas", "1.5", "lln41"]),
         ],
         ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0", "stab-factor-0",
-             "walk-n-negative", "n-max-negative"],
+             "walk-n-negative", "n-max-negative", "n-non-integral",
+             "n-flag-non-integral", "grid-non-integral", "samples-non-integral",
+             "seed-non-integral", "seed-flag-abc", "replicas-flag-non-integral"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, section, argv):
         cfg = tmp_path / "cfg.json"
@@ -142,41 +196,81 @@ _BASE_SECTIONS = {
     "entropy": {"n_max": 4, "cell_budget": 100},
 }
 _KEYS = sorted({key for section in _BASE_SECTIONS.values() for key in section})
-_SCALARS = st.sampled_from([-3, 0, 1, 2, 1.5, "abc", None, "nan", []])
+_SCALARS = st.sampled_from([-3, 0, 1, 2, 1.5, 2.9, "abc", None, "nan", []])
 _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=2))
+# subcommand flag -> the config key it overrides; values stay cheap (<= 2)
+_FLAGS = {
+    "gauge": {"--k": "k"},
+    "walk": {"--n": "n", "--p": "primes"},
+    "boundary": {"--p": "p", "--digits": "digits", "--margin": "margin"},
+    "lln43": {"--epsilon": "epsilon"},
+    "prop44": {"--epsilon": "epsilon"},
+    "entropy": {"--n-max": "n_max", "--cell-budget": "cell_budget"},
+}
+_FLAG_NAMES = sorted({flag for flags in _FLAGS.values() for flag in flags})
+_FLAG_VALUES = st.sampled_from(["-3", "0", "1", "2", "1.5", "2.9", "abc", "nan", "inf", ""])
+_INT_KEYS = {"n", "seed", "samples", "digits", "margin", "step_cap", "n_max",
+             "cell_budget", "stab_factor"}
+
+
+def _non_integral(value) -> bool:
+    """A number, or a numeric string, with a fractional part."""
+    try:
+        return not float(value).is_integer() and value not in ("nan", "inf")
+    except (TypeError, ValueError):
+        return False
 
 
 class TestFuzzedConfig:
     @settings(
-        max_examples=150,
+        max_examples=200,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
         command=st.sampled_from(sorted(_BASE_SECTIONS)),
         overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3),
-        replicas=st.sampled_from([None, 1, 2, 3]),
+        replicas=st.sampled_from([None, "1", "2", "3", "1.5", "abc"]),
+        flags=st.dictionaries(st.sampled_from(_FLAG_NAMES), _FLAG_VALUES, max_size=3),
     )
-    @example(command="prop44", overrides={"stab_factor": 0}, replicas=None)
-    @example(command="walk", overrides={"n": -3}, replicas=None)
-    @example(command="entropy", overrides={"n_max": -3}, replicas=None)
-    def test_exit_code_contract(self, tmp_path, command, overrides, replicas):
+    @example(command="prop44", overrides={"stab_factor": 0}, replicas=None, flags={})
+    @example(command="walk", overrides={"n": -3}, replicas=None, flags={})
+    @example(command="entropy", overrides={"n_max": -3}, replicas=None, flags={})
+    @example(command="walk", overrides={"n": 2.9}, replicas=None, flags={})
+    @example(
+        command="entropy", overrides={}, replicas=None,
+        flags={"--n-max": "1", "--cell-budget": "1"},
+    )
+    def test_exit_code_contract(self, tmp_path, command, overrides, replicas, flags):
         # keys a subcommand does not read are ignored, as in any config file
         section = {**_BASE_SECTIONS[command], **overrides}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**REV, command: section}))
         argv = ["--config", str(cfg)]
         if replicas is not None:
-            argv += ["--replicas", str(replicas)]
+            argv += ["--replicas", replicas]
+        flags = {f: v for f, v in flags.items() if f in _FLAGS.get(command, {})}
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + [command])
+            code = main(argv + [command] + [x for item in flags.items() for x in item])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            # a report always has rows
+            header = "experiment,p,n,seed,statistic,value\n"
+            assert out.getvalue().split(header, 1)[1]
         if code == 1:
             assert "# passed false" in out.getvalue()
         if code in (2, 3):
             assert len(err.getvalue().splitlines()) == 1
+        # a value with a fractional part where an integer is read exits 2
+        read = {key: section[key] for key in _BASE_SECTIONS[command]}
+        if replicas is not None and "samples" in read:
+            read["samples"] = replicas
+        for flag, value in flags.items():
+            read[_FLAGS[command][flag]] = value
+        if any(_non_integral(read[key]) for key in _INT_KEYS & set(read)):
+            assert code == 2
 
 
 class TestOutputs:

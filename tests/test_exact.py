@@ -17,11 +17,11 @@ from affwalk import (
     log_norm_plus,
     parse_place,
     parse_rational,
-    partial_height_plus,
     prime_factors,
     support_primes,
     valuation,
 )
+from affwalk.experiments import _partial_plus
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-(10**9)), max_value=Fraction(10**9), max_denominator=10**9
@@ -120,12 +120,13 @@ class TestHeights:
         assert height_plus(1 / q) == pytest.approx(height_plus(q), abs=1e-12)
 
     def test_partial_height_plus(self):
-        coords = {2: Fraction(1, 4), INFINITE_PLACE: Fraction(6)}
-        got = partial_height_plus(coords, [2, INFINITE_PLACE])
-        assert got == pytest.approx(2 * math.log(2) + math.log(6))
-        # missing places contribute nothing
-        assert partial_height_plus(coords, [3]) == 0.0
-        assert partial_height_plus(coords, []) == 0.0
+        # ln+|3/8|_2 = 3 ln 2 and ln+|3/8|_inf = 0; for 6 only R counts
+        assert _partial_plus(Fraction(3, 8), [2, INFINITE_PLACE]) == pytest.approx(3 * math.log(2))
+        assert _partial_plus(Fraction(6), [2, INFINITE_PLACE]) == pytest.approx(math.log(6))
+        # places where |z|_p <= 1 contribute nothing
+        assert _partial_plus(Fraction(3, 8), [3, 5]) == 0.0
+        assert _partial_plus(Fraction(0), [2, INFINITE_PLACE]) == 0.0
+        assert _partial_plus(Fraction(3, 8), []) == 0.0
 
 
 class TestPrimes:

@@ -1,4 +1,6 @@
 import math
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from affwalk import (
     drift,
     drift_profile,
     entropy,
-    first_moment,
     measure_config,
     parse_measure_config,
     power,
@@ -25,6 +26,7 @@ from affwalk import (
     table_of,
     validate,
 )
+from affwalk import measure
 
 F = Fraction
 
@@ -124,9 +126,66 @@ class TestDrift:
         assert reflect(reflect(mu_bias)) == mu_bias
         assert reflect(reflect(mu_rev)) == mu_rev
 
-    def test_first_moment_finite(self, mu_bias):
-        # 1/4<2> + 3/4(<1/2> + <1>+) = ln2/4 + 3ln2/4 + 3*0/4
-        assert first_moment(mu_bias) == pytest.approx(math.log(2))
+
+def _integer_sign(mu):
+    """Reference sign of the infinite drift by one integer comparison.
+
+    With weights w_i = e_i / L over a common denominator L, the sign of
+    sum w_i ln|a_i| is the sign of prod |num_i|^{e_i} - prod den_i^{e_i}.
+    """
+    lcm = math.lcm(*(w.denominator for w in mu.weights))
+    num_prod = den_prod = 1
+    for g, w in mu.atoms:
+        e = w.numerator * (lcm // w.denominator)
+        num_prod *= abs(g.a.numerator) ** e
+        den_prod *= g.a.denominator ** e
+    return (num_prod > den_prod) - (num_prod < den_prod)
+
+
+def _near_null_law():
+    """Weights w, 1 - w on x -> 3x and x -> x/2 + 1 with w = ln 2 / ln 6 to 80 digits.
+
+    The infinite drift w ln 6 - ln 2 is about 10^-80: a float reads it as
+    noise, and the integer comparison would raise 3 to a 79-digit power.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        w = F(Decimal(2).ln() / Decimal(6).ln())
+    return w, StepDistribution({AffineMap(3, 0): w, AffineMap(F(1, 2), 1): 1 - w})
+
+
+_SLOPES = st.sampled_from(
+    [F(2), F(1, 2), F(3), F(1, 3), F(6), F(1, 6), F(-2), F(-1, 3), F(2, 3), F(4, 9), F(9, 8), F(1)]
+)
+
+
+class TestInfiniteSign:
+    @given(st.lists(st.tuples(_SLOPES, st.integers(1, 6)), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_integer_comparison(self, atoms):
+        total = sum(w for _, w in atoms)
+        mu = StepDistribution([((a, i), F(w, total)) for i, (a, w) in enumerate(atoms)])
+        assert drift_profile(mu).infinite_sign == _integer_sign(mu)
+
+    def test_weights_over_a_large_prime(self):
+        # the integer comparison would raise 2 and 3 to powers near 10^9
+        p = 10**9 + 7
+        mu = StepDistribution({AffineMap(2, 0): F(1, p), AffineMap(F(1, 3), 1): F(p - 1, p)})
+        start = time.perf_counter()
+        assert drift_profile(mu).infinite_sign == -1
+        assert time.perf_counter() - start < 1.0
+
+    def test_drift_below_float_resolution(self, monkeypatch):
+        w, mu = _near_null_law()
+        # about 80 digits decide the sign: past a 64-digit budget, give up
+        monkeypatch.setattr(measure, "_SIGN_DIGITS", 64)
+        with pytest.raises(BudgetError):
+            drift_profile(mu)
+        monkeypatch.undo()
+        with localcontext() as ctx:
+            ctx.prec = 200
+            exact = Decimal(w.numerator) / w.denominator * Decimal(6).ln() - Decimal(2).ln()
+        assert drift_profile(mu).infinite_sign == (1 if exact > 0 else -1)
 
 
 class TestApproximant:

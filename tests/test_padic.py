@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affwalk import (
-    PadicExpansion,
-    PrecisionError,
-    ball_key,
-    ball_key_exact,
-    expand,
-    padic_log_distance,
-    valuation,
-)
+from affwalk import PadicExpansion, ball_key_exact, expand, log_norm, valuation
 
 odd_denominator_rationals = st.fractions(
     min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**6
@@ -22,9 +14,27 @@ odd_denominator_rationals = st.fractions(
 primes = st.sampled_from([2, 3, 5, 7, 13])
 
 
-def p_compatible(q: Fraction, p: int) -> bool:
-    # expansion needs finitely many digits below the point: v_p bounded below
-    return True  # any rational expands; valuation handles denominators
+def _value_mod(e: PadicExpansion) -> Fraction:
+    """Re-sum the digits: congruent to the source mod p^(start+N)."""
+    total = 0
+    for d in reversed(e.digits):
+        total = total * e.p + d
+    return Fraction(total) * Fraction(e.p) ** e.start_exponent
+
+
+def _ball_key(e: PadicExpansion, radius_exponent: int) -> tuple:
+    """Reference for ball_key_exact: the ball key read off a digit expansion."""
+    p, v, zero = e.p, e.start_exponent, e.digits[0] == 0
+    if zero or v >= radius_exponent:
+        # an all-zero expansion only certifies v_p >= start + precision
+        assert not zero or v + len(e.digits) >= radius_exponent
+        return (p, radius_exponent, radius_exponent, 0)
+    needed = radius_exponent - v
+    assert len(e.digits) >= needed, "expansion too short for this radius"
+    residue = 0
+    for d in reversed(e.digits[:needed]):
+        residue = residue * p + d
+    return (p, radius_exponent, v, residue)
 
 
 class TestExpand:
@@ -43,7 +53,7 @@ class TestExpand:
 
     def test_zero(self):
         e = expand(Fraction(0), 3, 5)
-        assert e.is_zero
+        assert e.start_exponent == 0
         assert e.digits == (0,) * 5
 
     def test_negative_one_all_max_digits(self):
@@ -62,11 +72,11 @@ class TestExpand:
         """Re-summing the digits recovers q modulo p^(start+n)."""
         e = expand(q, p, n)
         if q == 0:
-            assert e.value_mod() == 0
+            assert _value_mod(e) == 0
             return
         v = valuation(q, p)
         assert e.start_exponent == v
-        diff = q - e.value_mod()
+        diff = q - _value_mod(e)
         assert diff == 0 or valuation(diff, p) >= v + n
 
     @given(odd_denominator_rationals, primes)
@@ -77,42 +87,40 @@ class TestExpand:
 
 
 class TestDistance:
+    """The p-adic distance ln|q1 - q2|_p is log_norm of the difference."""
+
     def test_basic(self):
         # |5 - 1|_2 = |4|_2 = 1/4
-        assert padic_log_distance(Fraction(5), Fraction(1), 2) == pytest.approx(
-            -2 * math.log(2)
-        )
+        assert log_norm(Fraction(5) - Fraction(1), 2) == pytest.approx(-2 * math.log(2))
 
     def test_equal_points_rejected(self):
         with pytest.raises(ValueError):
-            padic_log_distance(Fraction(1), Fraction(1), 3)
+            log_norm(Fraction(1) - Fraction(1), 3)
 
     @given(odd_denominator_rationals, odd_denominator_rationals, odd_denominator_rationals, primes)
     def test_ultrametric(self, x, y, z, p):
         if x == y or y == z or x == z:
             return
-        d_xz = padic_log_distance(x, z, p)
-        assert d_xz <= max(
-            padic_log_distance(x, y, p), padic_log_distance(y, z, p)
-        ) + 1e-12
+        d_xz = log_norm(x - z, p)
+        assert d_xz <= max(log_norm(x - y, p), log_norm(y - z, p)) + 1e-12
 
 
 class TestBallKey:
     def test_by_example(self):
         e = expand(Fraction(5), 2, 6)
         # radius 3 ball around 5: valuation 0, residue 5 mod 8
-        assert ball_key(e, 3) == (2, 3, 0, 5)
+        assert _ball_key(e, 3) == (2, 3, 0, 5)
 
     def test_zero_ball_normal_form(self):
         e = expand(Fraction(0), 2, 6)
-        assert ball_key(e, 3) == (2, 3, 3, 0)
+        assert _ball_key(e, 3) == (2, 3, 3, 0)
         # a point p-adically inside the radius-3 zero ball gets the same key
-        assert ball_key(expand(Fraction(8), 2, 6), 3) == (2, 3, 3, 0)
+        assert _ball_key(expand(Fraction(8), 2, 6), 3) == (2, 3, 3, 0)
 
     def test_exact_matches_expansion(self):
         for q in (Fraction(5), Fraction(7, 3), Fraction(-1, 2), Fraction(0), Fraction(12)):
             e = expand(q, 2, 12)
-            assert ball_key(e, 4) == ball_key_exact(q, 2, 4)
+            assert _ball_key(e, 4) == ball_key_exact(q, 2, 4)
 
     @given(odd_denominator_rationals, odd_denominator_rationals, primes,
            st.integers(min_value=-3, max_value=6))
@@ -126,10 +134,10 @@ class TestBallKey:
             close = valuation(x - y, p) >= radius
             assert (kx == ky) == close
 
-    def test_insufficient_precision(self):
-        e = expand(Fraction(5), 2, 2)
-        with pytest.raises(PrecisionError):
-            ball_key(e, 5)
+    @given(odd_denominator_rationals, primes, st.integers(min_value=-3, max_value=8))
+    def test_exact_matches_expansion_random(self, q, p, radius):
+        # |v_p(q)| < 20 on these inputs, so 40 digits reach every radius
+        assert _ball_key(expand(q, p, 40), radius) == ball_key_exact(q, p, radius)
 
 
 class TestExpansionType:
@@ -145,3 +153,5 @@ class TestExpansionType:
         a = expand(Fraction(5), 2, 4)
         b = PadicExpansion(2, 0, (1, 0, 1, 0))
         assert a == b
+        # 21 = 5 + 16 shares the first four digits, so the expansions agree
+        assert expand(Fraction(21), 2, 4) == a
