@@ -6,9 +6,10 @@ per-subcommand parameter sections; command-line flags override the file.
 
 Exit codes: 0 pass, 1 bound-check fail, 2 config error (including
 non-numeric, non-finite and, where an integer is required, non-integral
-values), 3 resource budget exceeded (including walks that fail to stabilize
-within their step cap, an entropy table truncated before its second step,
-and an infinite-drift sign undecided within its digit budget).
+values, and a worker count below 1), 3 resource budget exceeded (including
+walks that fail to stabilize within their step cap, an entropy table
+truncated before its second step, and an infinite-drift sign undecided
+within its digit budget).
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
-        default=1,
+        default=None,
         help="worker processes; output bytes do not depend on this",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,8 +194,16 @@ def _samples(args, section: dict, default: int) -> int:
     return n
 
 
+def _workers(args) -> int:
+    n = _pick(args.workers, {}, "workers", 1, _integral)
+    if n < 1:
+        raise ConfigError("worker count must be at least 1")
+    return n
+
+
 def _dispatch(args, cfg: dict) -> Report:
     cmd = args.command
+    workers = _workers(args)
     if cmd == "validate":
         return run_validate(_need_measure(cfg))
     if cmd == "drift":
@@ -226,7 +234,7 @@ def _dispatch(args, cfg: dict) -> Report:
             samples=_samples(args, section, DEFAULT_SAMPLES),
             seed=_base_seed(args, section),
             final_bound=_pick(None, section, "final_bound", 0.05 * math.log(2), _finite),
-            workers=args.workers,
+            workers=workers,
         )
     if cmd == "lln43":
         section = _section(cfg, "lln43")
@@ -240,7 +248,7 @@ def _dispatch(args, cfg: dict) -> Report:
             seed=_base_seed(args, section),
             epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
             freq_threshold=_pick(None, section, "freq_threshold", 0.95, _finite),
-            workers=args.workers,
+            workers=workers,
         )
     if cmd == "prop44":
         section = _section(cfg, "prop44")
@@ -258,7 +266,7 @@ def _dispatch(args, cfg: dict) -> Report:
             freq_threshold=_pick(None, section, "freq_threshold", 0.9, _finite),
             stab_factor=_pick(None, section, "stab_factor", 4, _integral),
             margin=_pick(None, section, "margin", DEFAULT_MARGIN, _integral),
-            workers=args.workers,
+            workers=workers,
         )
     if cmd == "entropy":
         section = _section(cfg, "entropy")

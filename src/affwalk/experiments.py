@@ -32,6 +32,7 @@ from .group import gauge_count_bound, gauge_enumerate
 from .measure import (
     DEFAULT_CELL_BUDGET,
     StepDistribution,
+    _drift_sum_bound,
     convolve,
     drift,
     drift_profile,
@@ -39,7 +40,6 @@ from .measure import (
     measure_config,
     power,
     q_approximant,
-    table_of,
     validate,
 )
 from .padic import ball_key_exact
@@ -227,7 +227,7 @@ def run_drift(mu: StepDistribution) -> Report:
         config={"measure": measure_config(mu)},
         rows=rows,
         summary=summary,
-        passed=abs(residual) < 1e-12,
+        passed=abs(residual) <= _drift_sum_bound(mu),
     )
 
 
@@ -552,7 +552,7 @@ def run_entropy(
     entropies = [0.0]
     truncated_at: Optional[int] = None
     table = power(mu, 0, cell_budget)
-    step = table_of(mu)
+    step = power(mu, 1)
     for n in range(1, n_max + 1):
         try:
             table = convolve(table, step, cell_budget)

@@ -16,7 +16,7 @@ PUBLIC = [
     "is_prime", "log_norm", "log_norm_plus", "measure_config", "mix64",
     "parse_measure_config", "parse_place", "parse_rational", "power", "prime_factors",
     "q_approximant", "reflect", "replica_seed", "sample_path", "support_primes",
-    "table_of", "validate", "valuation",
+    "validate", "valuation",
 ]
 
 

@@ -128,6 +128,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert '"infinite_sign":-1' in capsys.readouterr().out
 
+    def test_drift_with_huge_slopes(self, tmp_path, capsys):
+        # |ln a| near 10^4: the drift-sum identity holds to rounding at that scale
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"atoms": [
+            {"a": str(2**14000), "b": "0", "w": "1/3"},
+            {"a": f"1/{3**8800}", "b": "1", "w": "2/3"},
+        ]}}))
+        assert main(["--config", str(cfg), "drift"]) == 0
+        assert "# passed true" in capsys.readouterr().out
+
     def test_drift_sign_budget_exit_3(self, tmp_path, capsys, monkeypatch):
         # weights ln 2 / ln 6 to 80 digits: the drift is about 10^-80
         with localcontext() as ctx:
@@ -162,11 +172,14 @@ class TestExitCodes:
             ({"walk": {"seed": 0.5}}, ["walk"]),
             (None, ["--seed", "abc", "walk"]),
             (None, ["--replicas", "1.5", "lln41"]),
+            (None, ["--workers", "abc", "drift"]),
+            (None, ["--workers", "0", "drift"]),
         ],
         ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0", "stab-factor-0",
              "walk-n-negative", "n-max-negative", "n-non-integral",
              "n-flag-non-integral", "grid-non-integral", "samples-non-integral",
-             "seed-non-integral", "seed-flag-abc", "replicas-flag-non-integral"],
+             "seed-non-integral", "seed-flag-abc", "replicas-flag-non-integral",
+             "workers-abc", "workers-0"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, section, argv):
         cfg = tmp_path / "cfg.json"
@@ -232,16 +245,25 @@ class TestFuzzedConfig:
         overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3),
         replicas=st.sampled_from([None, "1", "2", "3", "1.5", "abc"]),
         flags=st.dictionaries(st.sampled_from(_FLAG_NAMES), _FLAG_VALUES, max_size=3),
+        # values that start no process pool
+        workers=st.sampled_from([None, "1", "0", "-1", "1.5", "abc"]),
     )
-    @example(command="prop44", overrides={"stab_factor": 0}, replicas=None, flags={})
-    @example(command="walk", overrides={"n": -3}, replicas=None, flags={})
-    @example(command="entropy", overrides={"n_max": -3}, replicas=None, flags={})
-    @example(command="walk", overrides={"n": 2.9}, replicas=None, flags={})
+    @example(command="prop44", overrides={"stab_factor": 0}, replicas=None, flags={},
+             workers=None)
+    @example(command="walk", overrides={"n": -3}, replicas=None, flags={},
+             workers=None)
+    @example(command="entropy", overrides={"n_max": -3}, replicas=None, flags={},
+             workers=None)
+    @example(command="walk", overrides={"n": 2.9}, replicas=None, flags={},
+             workers=None)
     @example(
         command="entropy", overrides={}, replicas=None,
-        flags={"--n-max": "1", "--cell-budget": "1"},
+        flags={"--n-max": "1", "--cell-budget": "1"}, workers=None,
     )
-    def test_exit_code_contract(self, tmp_path, command, overrides, replicas, flags):
+    @example(command="drift", overrides={}, replicas=None, flags={}, workers="0")
+    def test_exit_code_contract(
+        self, tmp_path, command, overrides, replicas, flags, workers
+    ):
         # keys a subcommand does not read are ignored, as in any config file
         section = {**_BASE_SECTIONS[command], **overrides}
         cfg = tmp_path / "cfg.json"
@@ -249,6 +271,8 @@ class TestFuzzedConfig:
         argv = ["--config", str(cfg)]
         if replicas is not None:
             argv += ["--replicas", replicas]
+        if workers is not None:
+            argv += ["--workers", workers]
         flags = {f: v for f, v in flags.items() if f in _FLAGS.get(command, {})}
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -270,6 +294,9 @@ class TestFuzzedConfig:
         for flag, value in flags.items():
             read[_FLAGS[command][flag]] = value
         if any(_non_integral(read[key]) for key in _INT_KEYS & set(read)):
+            assert code == 2
+        # every worker count drawn but 1 is invalid
+        if workers not in (None, "1"):
             assert code == 2
 
 

@@ -10,7 +10,9 @@ from affwalk import (
     AffineMap,
     StabilizationError,
     StepDistribution,
+    cli,
     experiments,
+    measure_config,
 )
 from affwalk.experiments import (
     Report,
@@ -194,6 +196,30 @@ class TestPinnedReports:
         assert _sha256(render_csv(rep)) == (
             "3a19fc4a535c50b641a948f07ff03f872ca9fdb88e5a19dc16570f72a0ddc5a8"
         )
+
+    def test_entropy_cli_bytes(self, mu_sym, tmp_path, capsys):
+        # the CLI report of the timed entropy size in bench/workloads.py
+        cfg = tmp_path / "sym.json"
+        cfg.write_text(json.dumps({"measure": measure_config(mu_sym)}))
+        assert cli.main(["--config", str(cfg), "entropy", "--n-max", "16"]) == 0
+        assert _sha256(capsys.readouterr().out) == (
+            "d1455856ad92710cecca49fd221080dd843c53202b24fb557d95ddcbe3669cd1"
+        )
+
+    def test_entropy_values_negative_slope(self):
+        # three atoms, one with a < 0, weights over 3, 2 and 6
+        mu = StepDistribution({
+            AffineMap(-2, 1): F(1, 3),
+            AffineMap(F(1, 3), F(-1, 2)): F(1, 2),
+            AffineMap(F(3, 2), 0): F(1, 6),
+        })
+        rep = run_entropy(mu, n_max=10)
+        assert [repr(r.value) for r in rep.rows if r.statistic == "H"] == [
+            "1.0114042647073518", "2.0228085294147036", "3.034212794122055",
+            "4.039199029379778", "5.007412690237931", "5.949931578534977",
+            "6.847411071138754", "7.6969853158044375", "8.495110772531442",
+            "9.248876818577681",
+        ]
 
 
 class _InlinePool:

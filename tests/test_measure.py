@@ -4,15 +4,17 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affwalk import (
+    IDENTITY,
     INFINITE_PLACE,
     AffineMap,
     BudgetError,
     ConfigError,
     StepDistribution,
+    compose,
     contracting_set,
     convolve,
     drift,
@@ -23,7 +25,6 @@ from affwalk import (
     power,
     q_approximant,
     reflect,
-    table_of,
     validate,
 )
 from affwalk import measure
@@ -114,6 +115,15 @@ class TestDrift:
         assert drift(mu_bias, 2) == pytest.approx(0.5 * math.log(2))
         assert drift(mu_bias, 3) == 0.0
         assert drift(mu_bias, INFINITE_PLACE) == pytest.approx(-0.5 * math.log(2))
+
+    def test_drift_sum_check_near_unit_slopes(self):
+        # |ln a| near 10^-6, but ln of its numerator near 14 sets the rounding
+        # (huge slopes are checked through the CLI in test_cli.py)
+        near_unit = StepDistribution({
+            AffineMap(F(1000001, 1000000), 0): F(1, 3),
+            AffineMap(F(999999, 1000000), 1): F(2, 3),
+        })
+        assert drift_profile(near_unit).infinite_sign == -1
 
     def test_reflect_negates_drifts(self, mu_bias):
         prof = drift_profile(mu_bias)
@@ -215,6 +225,27 @@ class TestApproximant:
             assert abs(-v - n * 0.5) <= 1.0
 
 
+def _reference_convolve(p1, p2):
+    """Law of g1 o g2 for independent g1 ~ p1, g2 ~ p2, on AffineMap and Fraction."""
+    out = {}
+    for g1, w1 in p1.items():
+        for g2, w2 in p2.items():
+            g = compose(g1, g2)
+            w = w1 * w2
+            prev = out.get(g)
+            out[g] = w if prev is None else prev + w
+    return out
+
+
+def _reference_entropy(probs):
+    return -math.fsum(float(w) * math.log(w) for w in probs.values() if w != 1)
+
+
+# negative, unit and fractional linear parts; zero and fractional shifts
+_LINEAR = st.sampled_from([F(2), F(1, 2), F(-2), F(-1, 3), F(3), F(2, 3), F(-1), F(1), F(5, 4)])
+_SHIFTS = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(2, 7), F(5)])
+
+
 class TestConvolution:
     def test_square_of_fair_coin(self, mu_sym):
         table = power(mu_sym, 2)
@@ -237,12 +268,31 @@ class TestConvolution:
             assert sum(power(mu_bias, n).as_dict().values()) == 1
 
     def test_convolve_matches_power(self, mu_bias):
-        t2 = convolve(table_of(mu_bias), table_of(mu_bias))
+        t2 = convolve(power(mu_bias, 1), power(mu_bias, 1))
         assert t2.as_dict() == power(mu_bias, 2).as_dict()
 
     def test_budget_guard(self, mu_sym):
         with pytest.raises(BudgetError):
             power(mu_sym, 8, cell_budget=10)
+
+    @given(
+        st.lists(
+            st.tuples(_LINEAR, _SHIFTS, st.integers(1, 9)), min_size=2, max_size=3
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    # weights 1/4, 1/6, 7/12: three denominators over the lcm 12
+    @example([(F(-2), F(1, 3), 3), (F(1, 3), F(0), 2), (F(5, 2), F(-1), 7)])
+    def test_matches_fraction_reference(self, atoms):
+        total = sum(w for _, _, w in atoms)
+        mu = StepDistribution([((a, b), F(w, total)) for a, b, w in atoms])
+        ref = {IDENTITY: F(1)}
+        for n in range(6):
+            table = power(mu, n)
+            assert table.as_dict() == ref
+            assert table.support_size == len(ref)
+            assert entropy(table) == _reference_entropy(ref)
+            ref = _reference_convolve(ref, dict(mu.atoms))
 
     def test_support_growth_quadratic(self, mu_sym):
         # walk group is metabelian: supports grow polynomially, not 2^n
@@ -253,16 +303,16 @@ class TestConvolution:
 
 class TestEntropy:
     def test_single_atom_zero(self):
-        assert entropy(table_of(StepDistribution({AffineMap(2, 1): F(1)}))) == 0.0
+        assert entropy(power(StepDistribution({AffineMap(2, 1): F(1)}), 1)) == 0.0
 
     def test_fair_coin_ln2(self, mu_sym):
-        assert entropy(table_of(mu_sym)) == pytest.approx(math.log(2))
+        assert entropy(power(mu_sym, 1)) == pytest.approx(math.log(2))
 
     def test_h2_fair_coin_ln4(self, mu_sym):
         assert entropy(power(mu_sym, 2)) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_subadditive(self, mu_bias):
-        h1 = entropy(table_of(mu_bias))
+        h1 = entropy(power(mu_bias, 1))
         h2 = entropy(power(mu_bias, 2))
         h3 = entropy(power(mu_bias, 3))
         assert h2 <= 2 * h1 + 1e-12
