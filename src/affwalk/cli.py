@@ -3,6 +3,9 @@
 Subcommands: validate, drift, gauge, walk, boundary, lln41, lln43, prop44,
 entropy.  Configuration is a JSON file with a "measure" block and optional
 per-subcommand parameter sections; command-line flags override the file.
+Each subcommand runs ``experiments.run_<subcommand>``: ``_PARAMS`` maps its
+flags and config keys onto that runner's keywords, so every default and
+range check is the runner's own.
 
 Exit codes: 0 pass, 1 bound-check fail, 2 config error (including
 non-numeric, non-finite and, where an integer is required, non-integral
@@ -21,15 +24,12 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import BudgetError, ConfigError, StabilizationError
-from .exact import INFINITE_PLACE, format_rational, parse_place
-from .experiments import (
-    DEFAULT_EPSILON,
-    DEFAULT_GRID,
-    DEFAULT_SAMPLES,
+from .exact import INFINITE_PLACE, parse_place
+from .experiments import (  # run_<command> is looked up by name in _dispatch
     Report,
-    Row,
     render_csv,
     render_json,
+    run_boundary,
     run_drift,
     run_entropy,
     run_gauge,
@@ -39,8 +39,7 @@ from .experiments import (
     run_validate,
     run_walk,
 )
-from .measure import DEFAULT_CELL_BUDGET, measure_config, parse_measure_config
-from .walk import DEFAULT_MARGIN, DEFAULT_STEP_CAP, boundary_digits
+from .measure import parse_measure_config
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -122,25 +121,7 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _need_measure(cfg: dict):
-    block = cfg.get("measure")
-    if block is None:
-        raise ConfigError('this command needs a "measure" block in the config')
-    return parse_measure_config(block)
-
-
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f'config section "{name}" must be an object')
-    return section
-
-
-def _pick(flag, section: dict, key: str, default, kind=None):
-    """Priority: command-line flag, config section, default; coerced by ``kind``."""
-    value = flag if flag is not None else section.get(key, default)
-    if kind is None:
-        return value
+def _coerce(key: str, value, kind):
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -161,6 +142,10 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    return _integral(value) & (1 << 64) - 1
+
+
 def _items(value) -> list:
     """A list as given, or the comma-separated parts of a string."""
     if isinstance(value, str):
@@ -172,155 +157,94 @@ def _grid(value) -> list[int]:
     return [_integral(v) for v in _items(value)]
 
 
+def _place(value):
+    return parse_place(str(value))
+
+
 def _places(value) -> list:
-    return [parse_place(str(v)) for v in _items(value)]
+    return [_place(v) for v in _items(value)]
 
 
-def _n_grid(args, section: dict) -> list[int]:
-    grid = _pick(args.n_grid, section, "n_grid", list(DEFAULT_GRID), _grid)
-    if not grid or any(n < 1 for n in grid):
-        raise ConfigError("n grid must be positive integers")
-    return grid
+def _primes(value) -> list[int]:
+    """The finite places of a list; a walk tracks valuations at primes only."""
+    return [p for p in _places(value) if p != INFINITE_PLACE]
 
 
-def _base_seed(args, section: dict) -> int:
-    return _pick(args.seed, section, "seed", 0, _integral) & (1 << 64) - 1
-
-
-def _samples(args, section: dict, default: int) -> int:
-    n = _pick(args.replicas, section, "samples", default, _integral)
-    if n < 1:
-        raise ConfigError("sample count must be at least 1")
-    return n
-
-
-def _workers(args) -> int:
-    n = _pick(args.workers, {}, "workers", 1, _integral)
-    if n < 1:
-        raise ConfigError("worker count must be at least 1")
-    return n
+# subcommand -> {keyword of run_<subcommand>: (args attribute of its flag, coercer)}.
+# The keyword is also the config key in the subcommand's section; a flag of
+# None means the key is read from the config only.
+_SEED = ("seed", _seed)
+_REPLICAS = {"n_grid": ("n_grid", _grid), "samples": ("replicas", _integral), "seed": _SEED}
+_PARAMS: dict[str, dict] = {
+    "validate": {},
+    "drift": {},
+    "gauge": {"k": ("k", _finite), "k_max": ("k_max", _finite)},
+    "walk": {"n": ("n", _integral), "seed": _SEED, "primes": ("p", _primes)},
+    "boundary": {
+        "p": ("p", _place),
+        "digits": ("digits", _integral),
+        "seed": _SEED,
+        "margin": ("margin", _integral),
+        "step_cap": (None, _integral),
+    },
+    "lln41": {**_REPLICAS, "final_bound": (None, _finite)},
+    "lln43": {
+        "places": ("places", _places),
+        **_REPLICAS,
+        "epsilon": ("epsilon", _finite),
+        "freq_threshold": (None, _finite),
+    },
+    "prop44": {
+        "places": ("places", _places),
+        **_REPLICAS,
+        "epsilon": ("epsilon", _finite),
+        "freq_threshold": (None, _finite),
+        "stab_factor": (None, _integral),
+        "margin": (None, _integral),
+    },
+    "entropy": {"n_max": ("n_max", _integral), "cell_budget": ("cell_budget", _integral)},
+}
+# the keywords without a default in their runner's signature
+_REQUIRED = {"gauge": ("k",), "boundary": ("p",), "prop44": ("places",)}
 
 
 def _dispatch(args, cfg: dict) -> Report:
+    """Run ``run_<command>`` with the keywords the flags and config give.
+
+    A keyword is passed only when its flag is given or its key is present in
+    the section (a present null is coerced, and rejected), so every default
+    and range check is the runner's own.
+    """
     cmd = args.command
-    workers = _workers(args)
-    if cmd == "validate":
-        return run_validate(_need_measure(cfg))
-    if cmd == "drift":
-        return run_drift(_need_measure(cfg))
+    params = _PARAMS[cmd]
+    section = cfg.get(cmd, {}) if params else {}
+    if not isinstance(section, dict):
+        raise ConfigError(f'config section "{cmd}" must be an object')
+    kwargs = {}
+    for key, (flag, kind) in params.items():
+        value = getattr(args, flag) if flag else None
+        if value is None:
+            if key not in section:
+                continue
+            value = section[key]
+        kwargs[key] = _coerce(key, value, kind)
+    for key in _REQUIRED.get(cmd, ()):
+        if key not in kwargs:
+            raise ConfigError(f"{cmd} needs --{params[key][0]} or a {cmd}.{key} config entry")
+    if args.workers is not None:
+        workers = _coerce("workers", args.workers, _integral)
+        if workers < 1:
+            raise ConfigError("worker count must be at least 1")
+        if "samples" in params:  # the suites with replicas fan them out
+            kwargs["workers"] = workers
+    # looked up at call time, so a wrapper installed on this module is the one run
+    run = globals()["run_" + cmd]
     if cmd == "gauge":
-        section = _section(cfg, "gauge")
-        if _pick(args.k, section, "k", None) is None:
-            raise ConfigError("gauge needs --k or a gauge.k config entry")
-        return run_gauge(
-            _pick(args.k, section, "k", None, _finite),
-            _pick(args.k_max, section, "k_max", 5.0, _finite),
-        )
-    if cmd == "walk":
-        section = _section(cfg, "walk")
-        mu = _need_measure(cfg)
-        n = _pick(args.n, section, "n", 100, _integral)
-        primes = _pick(args.p, section, "primes", [], _places)
-        primes = [p for p in primes if p != INFINITE_PLACE]
-        return run_walk(mu, n, _base_seed(args, section), primes)
-    if cmd == "boundary":
-        return _run_boundary(args, cfg)
-    if cmd == "lln41":
-        section = _section(cfg, "lln41")
-        mu = _need_measure(cfg)
-        return run_lln41(
-            mu,
-            n_grid=_n_grid(args, section),
-            samples=_samples(args, section, DEFAULT_SAMPLES),
-            seed=_base_seed(args, section),
-            final_bound=_pick(None, section, "final_bound", 0.05 * math.log(2), _finite),
-            workers=workers,
-        )
-    if cmd == "lln43":
-        section = _section(cfg, "lln43")
-        mu = _need_measure(cfg)
-        places = _pick(args.places, section, "places", [], _places)
-        return run_lln43(
-            mu,
-            places,
-            n_grid=_n_grid(args, section),
-            samples=_samples(args, section, DEFAULT_SAMPLES),
-            seed=_base_seed(args, section),
-            epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
-            freq_threshold=_pick(None, section, "freq_threshold", 0.95, _finite),
-            workers=workers,
-        )
-    if cmd == "prop44":
-        section = _section(cfg, "prop44")
-        mu = _need_measure(cfg)
-        places = _pick(args.places, section, "places", [], _places)
-        if not places:
-            raise ConfigError("prop44 needs a non-empty place list")
-        return run_prop44(
-            mu,
-            places,
-            n_grid=_n_grid(args, section),
-            samples=_samples(args, section, DEFAULT_SAMPLES),
-            seed=_base_seed(args, section),
-            epsilon=_pick(args.epsilon, section, "epsilon", DEFAULT_EPSILON, _finite),
-            freq_threshold=_pick(None, section, "freq_threshold", 0.9, _finite),
-            stab_factor=_pick(None, section, "stab_factor", 4, _integral),
-            margin=_pick(None, section, "margin", DEFAULT_MARGIN, _integral),
-            workers=workers,
-        )
-    if cmd == "entropy":
-        section = _section(cfg, "entropy")
-        mu = _need_measure(cfg)
-        return run_entropy(
-            mu,
-            n_max=_pick(args.n_max, section, "n_max", 12, _integral),
-            cell_budget=_pick(
-                args.cell_budget, section, "cell_budget", DEFAULT_CELL_BUDGET, _integral
-            ),
-        )
-    raise ConfigError(f"unknown command {cmd!r}")
-
-
-def _run_boundary(args, cfg: dict) -> Report:
-    section = _section(cfg, "boundary")
-    mu = _need_measure(cfg)
-    p_raw = _pick(args.p, section, "p", None)
-    if p_raw is None:
-        raise ConfigError("boundary needs --p or a boundary.p config entry")
-    p = parse_place(str(p_raw))
-    if p == INFINITE_PLACE:
-        raise ConfigError("boundary digits need a finite prime")
-    digits = _pick(args.digits, section, "digits", 16, _integral)
-    margin = _pick(args.margin, section, "margin", DEFAULT_MARGIN, _integral)
-    step_cap = _pick(None, section, "step_cap", DEFAULT_STEP_CAP, _integral)
-    seed = _base_seed(args, section)
-    result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
-    rows = [
-        Row("boundary", str(p), result.stabilization_index, seed, "stabilization_index",
-            float(result.stabilization_index)),
-        Row("boundary", str(p), result.stabilization_index, seed, "probe_agreed",
-            float(result.probe_agreed)),
-    ]
-    summary = {
-        "digits": result.expansion.render(),
-        "value": format_rational(result.value),
-        "stabilization_index": result.stabilization_index,
-        "probe_agreed": result.probe_agreed,
-        "steps_total": result.steps_total,
-    }
-    return Report(
-        name="boundary",
-        config={
-            "measure": measure_config(mu),
-            "p": str(p),
-            "digits": digits,
-            "margin": margin,
-            "seed": seed,
-        },
-        rows=rows,
-        summary=summary,
-        passed=result.probe_agreed,
-    )
+        return run(**kwargs)
+    measure = cfg.get("measure")
+    if measure is None:
+        raise ConfigError('this command needs a "measure" block in the config')
+    return run(parse_measure_config(measure), **kwargs)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

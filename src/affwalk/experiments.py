@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError
@@ -44,7 +47,7 @@ from .measure import (
 )
 from .padic import ball_key_exact
 from .prng import replica_seed
-from .walk import DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _lock, _probe, _Walker
+from .walk import DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _lock, _probe, _Walker, boundary_digits
 
 __all__ = [
     "Row",
@@ -55,14 +58,12 @@ __all__ = [
     "run_drift",
     "run_gauge",
     "run_walk",
+    "run_boundary",
     "run_lln41",
     "run_lln43",
     "run_prop44",
     "run_entropy",
     "run_stationarity",
-    "DEFAULT_GRID",
-    "DEFAULT_EPSILON",
-    "DEFAULT_SAMPLES",
 ]
 
 DEFAULT_GRID = (125, 250, 500, 1000, 2000)
@@ -143,42 +144,37 @@ def _seed_config(seed: int, samples: int) -> dict:
 # replica fan-out
 
 
-def _run_chunk(args) -> list[Row]:
-    fn, params, base_seed, lo, hi = args
-    rows: list[Row] = []
-    for i in range(lo, hi):
-        rows.extend(fn(params, replica_seed(base_seed, i)))
-    return rows
+def _run_chunk(args) -> list:
+    fn, base_seed, lo, hi = args
+    return [fn(replica_seed(base_seed, i)) for i in range(lo, hi)]
 
 
-def _fan_out(
-    fn: Callable[[dict, int], list[Row]],
-    params: dict,
-    base_seed: int,
-    samples: int,
-    workers: int,
-) -> list[Row]:
-    """Rows of ``fn(params, seed_i)`` for every replica, in index order.
+def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers: int) -> list:
+    """``fn(seed_i)`` for every replica, in index order.
 
-    The rows are identical for any worker count.  ``fn`` is a module-level
-    function, so a job pickles it by name.  The pool never exceeds the CPU
-    count or the number of chunks.
+    The results are identical for any worker count.  ``fn`` is a module-level
+    replica or a ``functools.partial`` of one with keyword arguments, so a job
+    pickles it by name.  The pool never exceeds the CPU count or the number
+    of chunks.
     """
+    if samples < 1:
+        raise ValueError("sample count must be at least 1")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        return _run_chunk((fn, params, base_seed, 0, samples))
+        return _run_chunk((fn, base_seed, 0, samples))
     chunk = max(1, math.ceil(samples / (workers * 4)))
     bounds = list(range(0, samples, chunk)) + [samples]
-    jobs = [
-        (fn, params, base_seed, lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
-    ]
-    rows: list[Row] = []
+    jobs = [(fn, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        for part in pool.map(_run_chunk, jobs):
-            rows.extend(part)
-    return rows
+        return list(chain.from_iterable(pool.map(_run_chunk, jobs)))
+
+
+def _grid(n_grid: Sequence[int]) -> list[int]:
+    """The distinct grid points in increasing order; there is one, all positive."""
+    grid = sorted(set(n_grid))
+    if not grid or grid[0] < 1:
+        raise ValueError("n grid must be positive integers")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,7 @@ def run_gauge(k: float, k_max: float = 5.0) -> Report:
 
 
 def run_walk(
-    mu: StepDistribution, n: int, seed: int, primes: Sequence[int] = ()
+    mu: StepDistribution, n: int = 100, seed: int = 0, primes: Sequence[int] = ()
 ) -> Report:
     """Dump one trajectory's growth statistics (plot-ready)."""
     if n < 0:
@@ -284,13 +280,51 @@ def run_walk(
     )
 
 
+def run_boundary(
+    mu: StepDistribution,
+    p: int,
+    digits: int = 16,
+    seed: int = 0,
+    margin: int = DEFAULT_MARGIN,
+    step_cap: int = DEFAULT_STEP_CAP,
+) -> Report:
+    """Stabilized p-adic digits of one boundary point, with its probe verdict."""
+    if p == INFINITE_PLACE:
+        raise ValueError("boundary digits need a finite prime")
+    result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
+    index = result.stabilization_index
+    rows = [
+        Row("boundary", str(p), index, seed, "stabilization_index", float(index)),
+        Row("boundary", str(p), index, seed, "probe_agreed", float(result.probe_agreed)),
+    ]
+    summary = {
+        "digits": result.expansion.render(),
+        "value": format_rational(result.value),
+        "stabilization_index": index,
+        "probe_agreed": result.probe_agreed,
+        "steps_total": result.steps_total,
+    }
+    return Report(
+        name="boundary",
+        config={
+            "measure": measure_config(mu),
+            "p": str(p),
+            "digits": digits,
+            "margin": margin,
+            "seed": seed,
+        },
+        rows=rows,
+        summary=summary,
+        passed=result.probe_agreed,
+    )
+
+
 # ---------------------------------------------------------------------------
 # law-of-large-numbers suites
 
 
-def _lln41_replica(params: dict, seed: int) -> list[Row]:
-    targets: dict[int, Fraction] = params["targets"]
-    walker = _Walker(params["encoding"], seed)
+def _lln41_replica(seed: int, *, encoding, targets: dict[int, Fraction]) -> list[Row]:
+    walker = _Walker(encoding, seed)
     rows = []
     for m in range(1, max(targets) + 1):
         walker.step()
@@ -309,13 +343,14 @@ def run_lln41(
     workers: int = 1,
 ) -> Report:
     """Monte Carlo decay of height(A_n^(-1) q_n)/n along the grid."""
-    grid = sorted(set(n_grid))
+    grid = _grid(n_grid)
     profile = drift_profile(mu)
-    params = {
-        "targets": {n: q_approximant(profile, n) for n in grid},
-        "encoding": _encode(mu),
-    }
-    rows = _fan_out(_lln41_replica, params, seed, samples, workers)
+    replica = partial(
+        _lln41_replica,
+        encoding=_encode(mu),
+        targets={n: q_approximant(profile, n) for n in grid},
+    )
+    rows = list(chain.from_iterable(_fan_out(replica, seed, samples, workers)))
     means = _grid_means(rows, grid, "height_ratio")
     decreasing = all(means[b] < means[a] for a, b in zip(grid, grid[1:]))
     final = means[grid[-1]]
@@ -348,12 +383,12 @@ def _grid_means(rows: list[Row], grid: Sequence[int], statistic: str) -> dict[in
     return {n: math.fsum(vals) / len(vals) for n, vals in by_n.items()}
 
 
-def _lln43_replica(params: dict, seed: int) -> list[Row]:
-    grid: Sequence[int] = params["n_grid"]
-    places: tuple[Place, ...] = params["places"]
+def _lln43_replica(
+    seed: int, *, encoding, grid: Sequence[int], places: tuple[Place, ...]
+) -> list[Row]:
     n_max = max(grid)
     grid_set = set(grid)
-    walker = _Walker(params["encoding"], seed)
+    walker = _Walker(encoding, seed)
     rows = []
     for m in range(1, n_max + 1):
         walker.step()
@@ -365,7 +400,7 @@ def _lln43_replica(params: dict, seed: int) -> list[Row]:
 
 def run_lln43(
     mu: StepDistribution,
-    places: Sequence[Place],
+    places: Sequence[Place] = (),
     n_grid: Sequence[int] = DEFAULT_GRID,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
@@ -376,12 +411,12 @@ def run_lln43(
     """Frequency of the partial-height event <Z_n>_P^+ / n <= bound + eps."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    grid = sorted(set(n_grid))
+    grid = _grid(n_grid)
     places = tuple(places)
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
-    params = {"n_grid": grid, "places": places, "encoding": _encode(mu)}
-    rows = _fan_out(_lln43_replica, params, seed, samples, workers)
+    replica = partial(_lln43_replica, encoding=_encode(mu), grid=grid, places=places)
+    rows = list(chain.from_iterable(_fan_out(replica, seed, samples, workers)))
     freqs = _event_freqs(rows, grid, "partial_height_rate", bound)
     summary = {
         "bound": bound,
@@ -416,18 +451,22 @@ def _event_freqs(
             totals[r.n] += 1
             if r.value <= bound:
                 hits[r.n] += 1
-    return {n: hits[n] / totals[n] for n in grid if totals[n]}
+    return {n: hits[n] / totals[n] for n in grid}
 
 
-def _prop44_replica(params: dict, seed: int) -> list[Row]:
-    targets: dict[int, Fraction] = params["targets"]
-    places: tuple[Place, ...] = params["places"]
-    cotrunc: tuple[Place, ...] = params["cotrunc"]
-    n_stab: int = params["n_stab"]
-    margin: int = params["margin"]
-    finite_probe: dict[int, int] = params["finite_probe"]
-    real_probe: Optional[float] = params["real_probe"]
-    walker = _Walker(params["encoding"], seed)
+def _prop44_replica(
+    seed: int,
+    *,
+    encoding,
+    targets: dict[int, Fraction],
+    places: tuple[Place, ...],
+    cotrunc: tuple[Place, ...],
+    n_stab: int,
+    margin: int,
+    finite_probe: dict[int, int],
+    real_probe: Optional[float],
+) -> list[Row]:
+    walker = _Walker(encoding, seed)
     snaps: dict[int, tuple[Fraction, Fraction]] = {}
     for m in range(1, n_stab + 1):
         walker.step()
@@ -470,8 +509,10 @@ def run_prop44(
         raise ValueError("epsilon must be positive")
     if stab_factor < 1:
         raise ValueError("stab_factor must be at least 1")
-    grid = sorted(set(n_grid))
     places = tuple(places)
+    if not places:
+        raise ValueError("prop44 needs a non-empty place list")
+    grid = _grid(n_grid)
     profile = drift_profile(mu)
     contracting = profile.contracting()
     for p in places:
@@ -490,20 +531,21 @@ def run_prop44(
     real_probe = (
         max(grid) * profile.infinite_drift if INFINITE_PLACE in places else None
     )
-    params = {
-        "targets": {n: q_approximant(profile, n) for n in grid},
-        "encoding": _encode(mu),
-        "places": places,
-        "cotrunc": cotrunc,
-        "n_stab": n_stab,
-        "margin": margin,
-        "finite_probe": finite_probe,
-        "real_probe": real_probe,
-    }
-    rows = _fan_out(_prop44_replica, params, seed, samples, workers)
+    replica = partial(
+        _prop44_replica,
+        encoding=_encode(mu),
+        targets={n: q_approximant(profile, n) for n in grid},
+        places=places,
+        cotrunc=cotrunc,
+        n_stab=n_stab,
+        margin=margin,
+        finite_probe=finite_probe,
+        real_probe=real_probe,
+    )
+    rows = list(chain.from_iterable(_fan_out(replica, seed, samples, workers)))
     freqs = _event_freqs(rows, grid, "adelic_rate", bound)
     misses = [r.value for r in rows if r.statistic == "probe_miss"]
-    miss_rate = math.fsum(misses) / len(misses) if misses else 0.0
+    miss_rate = math.fsum(misses) / len(misses)
     summary = {
         "bound": bound,
         "frequencies": {str(n): freqs[n] for n in grid},
@@ -607,44 +649,27 @@ def _ols_slope(points: list[tuple[int, float]]) -> float:
 # stationarity of the tail law
 
 
-def _stationarity_replica(params: dict, seed: int) -> list[Row]:
-    p: int = params["p"]
-    radius: int = params["radius"]
-    n: int = params["n"]
-    margin: int = params["margin"]
-    walker = _Walker(params["encoding"], seed)
+def _ball_label(key: tuple) -> float:
+    """Row value of a ball key: residue * 128 + v + 64, which may collide."""
+    return float(key[3] * 128 + key[2] + 64)
+
+
+def _stationarity_replica(
+    seed: int, *, encoding, p: int, radius: int, n: int, margin: int, step_cap: int
+) -> tuple[int, tuple[tuple, tuple], int, bool]:
+    """(seed, ball keys of the tail point at steps 0 and n, lock index, probe verdict)."""
+    walker = _Walker(encoding, seed)
     for _ in range(n):
         walker.step()
     a_n, z_n = walker.a, walker.z
     # lock the representative at a resolution fine enough for the tail at n;
     # p contracts, so it divides some atom's linear part and has a slot
     target = radius + max(walker.exponents[walker.primes.index(p)], 0) + 1
-    _lock(walker, {p: target}, margin, params["step_cap"])
+    _lock(walker, {p: target}, margin, step_cap)
     stab_index = walker.count
     rep, _, [(_, probe_ok)] = _probe(walker, margin, {p: target})
-
-    t0 = rep
-    t1 = (rep - z_n) / a_n
-    rows = [
-        Row("stationarity", str(p), 0, seed, "ball_bucket", float(_bucket_id(t0, p, radius))),
-        Row("stationarity", str(p), n, seed, "ball_bucket", float(_bucket_id(t1, p, radius))),
-        Row("stationarity", str(p), stab_index, seed, "probe_miss", float(not probe_ok)),
-    ]
-    return rows
-
-
-def _bucket_id(q: Fraction, p: int, radius: int) -> int:
-    """Injective float-safe integer id of the ball key at this radius.
-
-    The key is (valuation, unit residue); residue * 128 + (v + 64) separates
-    cleanly (id mod 128 recovers v for -64 <= v < 64) and stays exact in a
-    64-bit float for every residue below 2^46.
-    """
-    key = ball_key_exact(q, p, radius)
-    v, residue = key[2], key[3]
-    if not -64 <= v < 64 or residue >= (1 << 46):
-        raise ValueError(f"ball key ({v}, {residue}) outside encodable range")
-    return residue * 128 + (v + 64)
+    keys = (ball_key_exact(rep, p, radius), ball_key_exact((rep - z_n) / a_n, p, radius))
+    return seed, keys, stab_index, probe_ok
 
 
 def run_stationarity(
@@ -667,27 +692,29 @@ def run_stationarity(
     profile = drift_profile(mu)
     if profile.exact().get(p, Fraction(0)) <= 0:
         raise ValueError(f"prime {p} does not contract")
-    params = {
-        "p": p,
-        "radius": radius_exponent,
-        "n": n,
-        "margin": margin,
-        "step_cap": DEFAULT_STEP_CAP,
-        "encoding": _encode(mu),
-    }
-    rows = _fan_out(_stationarity_replica, params, seed, samples, workers)
-    hist0: dict[float, int] = {}
-    hist1: dict[float, int] = {}
+    replica = partial(
+        _stationarity_replica,
+        encoding=_encode(mu),
+        p=p,
+        radius=radius_exponent,
+        n=n,
+        margin=margin,
+        step_cap=DEFAULT_STEP_CAP,
+    )
+    rows = []
+    hist0: Counter = Counter()
+    hist1: Counter = Counter()
     misses = 0
-    for r in rows:
-        if r.statistic == "ball_bucket":
-            target = hist0 if r.n == 0 else hist1
-            target[r.value] = target.get(r.value, 0) + 1
-        elif r.statistic == "probe_miss":
-            misses += int(r.value)
+    for s, (key0, key1), stab_index, probe_ok in _fan_out(replica, seed, samples, workers):
+        rows.append(Row("stationarity", str(p), 0, s, "ball_bucket", _ball_label(key0)))
+        rows.append(Row("stationarity", str(p), n, s, "ball_bucket", _ball_label(key1)))
+        rows.append(Row("stationarity", str(p), stab_index, s, "probe_miss", float(not probe_ok)))
+        hist0[key0] += 1
+        hist1[key1] += 1
+        misses += not probe_ok
     keys = set(hist0) | set(hist1)
     tv = 0.5 * math.fsum(
-        abs(hist0.get(k, 0) - hist1.get(k, 0)) / samples for k in keys
+        abs(hist0[k] - hist1[k]) / samples for k in keys
     )
     summary = {
         "tv_distance": tv,

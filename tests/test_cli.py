@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import time
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affwalk import measure
+from affwalk import cli, experiments, measure, parse_measure_config
 from affwalk.cli import main
+from affwalk.experiments import Report, Row, render_csv
 
 BIAS = {
     "measure": {
@@ -137,6 +139,15 @@ class TestExitCodes:
         ]}}))
         assert main(["--config", str(cfg), "drift"]) == 0
         assert "# passed true" in capsys.readouterr().out
+
+    def test_drift_bound_check_fails_with_exit_1(self, bias_config, capsys, monkeypatch):
+        # a negative bound fails every residual: a report that says so, not a traceback
+        monkeypatch.setattr(measure, "_drift_sum_bound", lambda mu: -1.0)
+        monkeypatch.setattr(experiments, "_drift_sum_bound", lambda mu: -1.0)
+        assert main(["--config", bias_config, "drift"]) == 1
+        out, err = capsys.readouterr()
+        assert "# passed false" in out
+        assert err == ""
 
     def test_drift_sign_budget_exit_3(self, tmp_path, capsys, monkeypatch):
         # weights ln 2 / ln 6 to 80 digits: the drift is about 10^-80
@@ -298,6 +309,59 @@ class TestFuzzedConfig:
         # every worker count drawn but 1 is invalid
         if workers not in (None, "1"):
             assert code == 2
+
+
+# each subcommand's required inputs: (global flags, subcommand flags, run_* keywords)
+_MINIMAL = {
+    "validate": ([], [], {}),
+    "drift": ([], [], {}),
+    "gauge": ([], ["--k", "1"], {"k": 1.0}),
+    "walk": ([], [], {}),
+    "boundary": ([], ["--p", "2"], {"p": 2}),
+    "lln41": (["--replicas", "2"], ["--n-grid", "5,10"], {"samples": 2, "n_grid": [5, 10]}),
+    "lln43": (["--replicas", "2"], ["--n-grid", "5,10"], {"samples": 2, "n_grid": [5, 10]}),
+    "prop44": (
+        ["--replicas", "2"],
+        ["--places", "2", "--n-grid", "5,10"],
+        {"samples": 2, "places": [2], "n_grid": [5, 10]},
+    ),
+    "entropy": ([], [], {}),
+}
+
+
+class TestParameterTable:
+    """The CLI passes keywords to run_<subcommand>; the defaults are the runner's."""
+
+    @pytest.mark.parametrize("command", sorted(_MINIMAL))
+    def test_table_matches_runner_signature(self, command):
+        assert set(cli._PARAMS) == set(_MINIMAL)
+        params = inspect.signature(getattr(cli, "run_" + command)).parameters
+        assert set(cli._PARAMS[command]) <= set(params)
+        required = {key for key, p in params.items() if p.default is p.empty} - {"mu"}
+        assert set(cli._REQUIRED.get(command, ())) == required
+        flags = vars(cli.build_parser().parse_args([command]))
+        assert all(flag in flags for flag, _ in cli._PARAMS[command].values() if flag)
+
+    @pytest.mark.parametrize("command", sorted(_MINIMAL))
+    def test_defaults_come_from_the_runner(self, rev_config, capsys, command):
+        global_flags, flags, kwargs = _MINIMAL[command]
+        code = main(["--config", rev_config] + global_flags + [command] + flags)
+        assert code in (0, 1)
+        run = getattr(experiments, "run_" + command)
+        mu = () if command == "gauge" else (parse_measure_config(REV["measure"]),)
+        assert capsys.readouterr().out == render_csv(run(*mu, **kwargs))
+
+    def test_runner_is_looked_up_at_call_time(self, bias_config, monkeypatch):
+        # trace wrappers installed on affwalk.cli must be the ones called
+        calls = []
+
+        def stub(mu, **kwargs):
+            calls.append(kwargs)
+            return Report("entropy", {}, [Row("entropy", "", 1, 0, "H", 0.0)], {})
+
+        monkeypatch.setattr(cli, "run_entropy", stub)
+        assert main(["--config", bias_config, "entropy", "--n-max", "3"]) == 0
+        assert calls == [{"n_max": 3}]
 
 
 class TestOutputs:

@@ -10,6 +10,7 @@ from affwalk import (
     AffineMap,
     StabilizationError,
     StepDistribution,
+    ball_key_exact,
     cli,
     experiments,
     measure_config,
@@ -165,11 +166,42 @@ class TestMonteCarloSuites:
             run_stationarity(mu_rev, 2, radius_exponent=40, n=50, samples=2, seed=0)
         assert info.value.steps == 60
 
-    def test_bucket_id_rejects_valuations_that_wrap(self):
-        # v = 64 with residue 1 would share id 256 with v = -64, residue 2
-        assert experiments._bucket_id(F(2, 3**64), 3, 70) == 256
+    def test_stationarity_3adic_fine_radius(self):
+        # residues reach 3^30 > 2^46, past any float-exact bucket encoding
+        mu = StepDistribution({AffineMap(3, 0): F(3, 4), AffineMap(F(1, 3), 1): F(1, 4)})
+        rep = run_stationarity(mu, 3, radius_exponent=30, n=20, samples=20, seed=1)
+        assert len(rep.rows) == 60
+        assert 20 <= rep.summary["buckets"] <= 40
+        assert max(r.value for r in rep.rows) > 2.0**53
+
+    def test_stationarity_buckets_on_exact_keys(self, mu_rev, monkeypatch):
+        # v = 64 with residue 1 and v = -64 with residue 2 share the row label 256
+        keys = (ball_key_exact(F(2, 3**64), 3, 70), ball_key_exact(F(3**64), 3, 70))
+        monkeypatch.setattr(
+            experiments, "_stationarity_replica", lambda seed, **_: (seed, keys, 0, True)
+        )
+        rep = run_stationarity(mu_rev, 2, radius_exponent=4, n=5, samples=3, seed=0)
+        assert {r.value for r in rep.rows if r.statistic == "ball_bucket"} == {256.0}
+        assert rep.summary["buckets"] == 2
+        assert rep.summary["tv_distance"] == 1.0
+
+    @pytest.mark.parametrize(
+        "run, kwargs",
+        [
+            (run_lln41, {"n_grid": [0, 5]}),
+            (run_lln43, {"n_grid": []}),
+            (run_lln41, {"n_grid": [5], "samples": 0}),
+            (run_prop44, {"places": [2], "n_grid": [5], "samples": 0}),
+            (run_prop44, {"places": [], "n_grid": [5], "samples": 1}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": 0}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": -1}),
+        ],
+        ids=["grid-zero", "grid-empty", "lln41-samples-0", "prop44-samples-0",
+             "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative"],
+    )
+    def test_range_checks_raise_value_error(self, mu_rev, run, kwargs):
         with pytest.raises(ValueError):
-            experiments._bucket_id(F(3**64), 3, 70)
+            run(mu_rev, **kwargs)
 
 
 def _sha256(text: str) -> str:

@@ -28,6 +28,7 @@ from affwalk import (
     validate,
 )
 from affwalk import measure
+from affwalk.experiments import run_drift
 
 F = Fraction
 
@@ -124,6 +125,7 @@ class TestDrift:
             AffineMap(F(999999, 1000000), 1): F(2, 3),
         })
         assert drift_profile(near_unit).infinite_sign == -1
+        assert run_drift(near_unit).passed is True
 
     def test_reflect_negates_drifts(self, mu_bias):
         prof = drift_profile(mu_bias)
