@@ -44,68 +44,6 @@ from .measure import parse_measure_config
 __all__ = ["main", "entrypoint", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="affwalk",
-        description="Random walks on rational affine maps: drifts, gauges, "
-        "boundary contraction, height laws of large numbers, entropy.",
-    )
-    parser.add_argument("--config", help="JSON config file with the measure block")
-    parser.add_argument("--seed", default=None, help="base 64-bit seed")
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--replicas",
-        default=None,
-        help="number of Monte Carlo replicas (overrides config samples)",
-    )
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="worker processes; output bytes do not depend on this",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", help="degeneracy check of the measure")
-    sub.add_parser("drift", help="drift profile and contracting set")
-
-    p_gauge = sub.add_parser("gauge", help="gauge enumeration and growth bound")
-    p_gauge.add_argument("--k", default=None, help="gauge radius")
-    p_gauge.add_argument("--k-max", default=None, help="enumeration cap")
-
-    p_walk = sub.add_parser("walk", help="dump one trajectory's growth")
-    p_walk.add_argument("--n", default=None, help="number of steps")
-    p_walk.add_argument(
-        "--p", action="append", default=None, help="prime to track (repeatable)"
-    )
-
-    p_boundary = sub.add_parser("boundary", help="stabilized p-adic boundary digits")
-    p_boundary.add_argument("--p", default=None, help="contracting finite prime")
-    p_boundary.add_argument("--digits", default=None, help="digit count")
-    p_boundary.add_argument("--margin", default=None)
-
-    for name, help_text in (
-        ("lln41", "decay of height(A_n^-1 q_n)/n"),
-        ("lln43", "partial-height growth event frequency"),
-        ("prop44", "boundary tracking event frequency"),
-    ):
-        p_lln = sub.add_parser(name, help=help_text)
-        p_lln.add_argument("--n-grid", default=None, help="comma-separated n values")
-        if name != "lln41":
-            p_lln.add_argument(
-                "--places", default=None, help='comma-separated, e.g. "2,inf"'
-            )
-            p_lln.add_argument("--epsilon", default=None)
-
-    p_entropy = sub.add_parser("entropy", help="exact convolution entropy table")
-    p_entropy.add_argument("--n-max", default=None)
-    p_entropy.add_argument("--cell-budget", default=None)
-
-    return parser
-
-
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -206,6 +144,48 @@ _PARAMS: dict[str, dict] = {
 }
 # the keywords without a default in their runner's signature
 _REQUIRED = {"gauge": ("k",), "boundary": ("p",), "prop44": ("places",)}
+# each subcommand's line in --help
+_HELP = {
+    "validate": "degeneracy check of the measure",
+    "drift": "drift profile and contracting set",
+    "gauge": "gauge enumeration and growth bound",
+    "walk": "dump one trajectory's growth",
+    "boundary": "stabilized p-adic boundary digits",
+    "lln41": "decay of height(A_n^-1 q_n)/n",
+    "lln43": "partial-height growth event frequency",
+    "prop44": "boundary tracking event frequency",
+    "entropy": "exact convolution entropy table",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Global flags, then each subcommand with one flag per flagged ``_PARAMS`` entry."""
+    parser = argparse.ArgumentParser(
+        prog="affwalk",
+        description="Random walks on rational affine maps: drifts, gauges, "
+        "boundary contraction, height laws of large numbers, entropy.",
+    )
+    parser.add_argument("--config", help="JSON config file with the measure block")
+    parser.add_argument("--seed", help="base 64-bit seed")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument(
+        "--replicas", help="number of Monte Carlo replicas (overrides config samples)"
+    )
+    parser.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="report format"
+    )
+    parser.add_argument("--workers", help="worker processes; output bytes do not depend on this")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, params in _PARAMS.items():
+        cmd_parser = sub.add_parser(cmd, help=_HELP[cmd])
+        for key, (flag, kind) in params.items():
+            if flag not in (None, "seed", "replicas"):  # those two are global flags
+                cmd_parser.add_argument(
+                    "--" + flag.replace("_", "-"),
+                    action="append" if kind is _primes else "store",
+                    help=f"overrides config entry {cmd}.{key}",
+                )
+    return parser
 
 
 def _dispatch(args, cfg: dict) -> Report:

@@ -1,10 +1,11 @@
 """Experiment suites and machine-readable reports.
 
-Each suite runs independent seeded replicas, collects rows
-(experiment, p, n, seed, statistic, value), and summarizes them against the
-configured bound.  Replicas may be fanned out to a process pool; the merge is
-an ordered concatenation by replica index, so output bytes are identical for
-any worker count.
+Each suite runs independent seeded replicas, each of which returns plain
+values with its seed first; the suite builds the report rows
+(experiment, p, n, seed, statistic, value) from them and summarizes the
+values against the configured bound.  Replicas may be fanned out to a
+process pool; the results come back in replica index order, so output bytes
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers:
     """
     if samples < 1:
         raise ValueError("sample count must be at least 1")
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _run_chunk((fn, base_seed, 0, samples))
@@ -323,15 +326,24 @@ def run_boundary(
 # law-of-large-numbers suites
 
 
-def _lln41_replica(seed: int, *, encoding, targets: dict[int, Fraction]) -> list[Row]:
+def _grid_walk(encoding, seed: int, grid: Sequence[int], n: int) -> tuple[_Walker, list]:
+    """The walker after ``n >= grid[-1]`` steps, and (A_m, Z_m) at each grid point m."""
     walker = _Walker(encoding, seed)
-    rows = []
-    for m in range(1, max(targets) + 1):
+    snaps = []
+    for m in grid:
+        for _ in range(m - walker.count):
+            walker.step()
+        snaps.append((walker.a, walker.z))
+    for _ in range(n - walker.count):
         walker.step()
-        if m in targets:
-            ratio = height(targets[m] / walker.a) / m
-            rows.append(Row("lln41", "", m, seed, "height_ratio", ratio))
-    return rows
+    return walker, snaps
+
+
+def _lln41_replica(seed: int, *, encoding, targets: dict[int, Fraction]) -> tuple[int, list]:
+    """(seed, height(A_m^(-1) q_m) / m at each grid point m)."""
+    grid = list(targets)
+    _, snaps = _grid_walk(encoding, seed, grid, grid[-1])
+    return seed, [height(targets[m] / a) / m for m, (a, _) in zip(grid, snaps)]
 
 
 def run_lln41(
@@ -350,8 +362,14 @@ def run_lln41(
         encoding=_encode(mu),
         targets={n: q_approximant(profile, n) for n in grid},
     )
-    rows = list(chain.from_iterable(_fan_out(replica, seed, samples, workers)))
-    means = _grid_means(rows, grid, "height_ratio")
+    results = _fan_out(replica, seed, samples, workers)
+    rows = [
+        Row("lln41", "", m, s, "height_ratio", v)
+        for s, values in results
+        for m, v in zip(grid, values)
+    ]
+    columns = zip(*(values for _, values in results))
+    means = {m: math.fsum(col) / samples for m, col in zip(grid, columns)}
     decreasing = all(means[b] < means[a] for a, b in zip(grid, grid[1:]))
     final = means[grid[-1]]
     summary = {
@@ -375,27 +393,12 @@ def run_lln41(
     )
 
 
-def _grid_means(rows: list[Row], grid: Sequence[int], statistic: str) -> dict[int, float]:
-    by_n: dict[int, list[float]] = {n: [] for n in grid}
-    for r in rows:
-        if r.statistic == statistic:
-            by_n[r.n].append(r.value)
-    return {n: math.fsum(vals) / len(vals) for n, vals in by_n.items()}
-
-
 def _lln43_replica(
     seed: int, *, encoding, grid: Sequence[int], places: tuple[Place, ...]
-) -> list[Row]:
-    n_max = max(grid)
-    grid_set = set(grid)
-    walker = _Walker(encoding, seed)
-    rows = []
-    for m in range(1, n_max + 1):
-        walker.step()
-        if m in grid_set:
-            s = _partial_plus(walker.z, places) / m
-            rows.append(Row("lln43", "", m, seed, "partial_height_rate", s))
-    return rows
+) -> tuple[int, list[float]]:
+    """(seed, <Z_m>_P^+ / m at each grid point m)."""
+    _, snaps = _grid_walk(encoding, seed, grid, grid[-1])
+    return seed, [_partial_plus(z, places) / m for m, (_, z) in zip(grid, snaps)]
 
 
 def run_lln43(
@@ -416,8 +419,14 @@ def run_lln43(
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
     replica = partial(_lln43_replica, encoding=_encode(mu), grid=grid, places=places)
-    rows = list(chain.from_iterable(_fan_out(replica, seed, samples, workers)))
-    freqs = _event_freqs(rows, grid, "partial_height_rate", bound)
+    results = _fan_out(replica, seed, samples, workers)
+    rows = [
+        Row("lln43", "", m, s, "partial_height_rate", v)
+        for s, values in results
+        for m, v in zip(grid, values)
+    ]
+    columns = zip(*(values for _, values in results))
+    freqs = {m: sum(v <= bound for v in col) / samples for m, col in zip(grid, columns)}
     summary = {
         "bound": bound,
         "frequencies": {str(n): freqs[n] for n in grid},
@@ -441,19 +450,6 @@ def run_lln43(
     )
 
 
-def _event_freqs(
-    rows: list[Row], grid: Sequence[int], statistic: str, bound: float
-) -> dict[int, float]:
-    hits: dict[int, int] = {n: 0 for n in grid}
-    totals: dict[int, int] = {n: 0 for n in grid}
-    for r in rows:
-        if r.statistic == statistic:
-            totals[r.n] += 1
-            if r.value <= bound:
-                hits[r.n] += 1
-    return {n: hits[n] / totals[n] for n in grid}
-
-
 def _prop44_replica(
     seed: int,
     *,
@@ -465,26 +461,18 @@ def _prop44_replica(
     margin: int,
     finite_probe: dict[int, int],
     real_probe: Optional[float],
-) -> list[Row]:
-    walker = _Walker(encoding, seed)
-    snaps: dict[int, tuple[Fraction, Fraction]] = {}
-    for m in range(1, n_stab + 1):
-        walker.step()
-        if m in targets:
-            snaps[m] = (walker.a, walker.z)
+) -> tuple[int, list[float], list[float], bool]:
+    """(seed, height ratios and adelic rates at the grid points, probe verdict)."""
+    walker, snaps = _grid_walk(encoding, seed, list(targets), n_stab)
     rep, _, agreed = _probe(walker, margin, finite_probe, real_probe)
-    probe_ok = all(ok for _, ok in agreed)
-
-    rows = []
-    for n, (a, z) in snaps.items():
+    firsts, totals = [], []
+    for n, (a, z) in zip(targets, snaps):
         first = height(targets[n] / a) / n
         boundary_term = _partial_plus((rep - z) / a, places)
         co_term = _partial_plus(z / a, cotrunc)
-        total = first + (boundary_term + co_term) / n
-        rows.append(Row("prop44", "", n, seed, "height_ratio", first))
-        rows.append(Row("prop44", "", n, seed, "adelic_rate", total))
-    rows.append(Row("prop44", "", n_stab, seed, "probe_miss", float(not probe_ok)))
-    return rows
+        firsts.append(first)
+        totals.append(first + (boundary_term + co_term) / n)
+    return seed, firsts, totals, all(ok for _, ok in agreed)
 
 
 def run_prop44(
@@ -542,16 +530,21 @@ def run_prop44(
         finite_probe=finite_probe,
         real_probe=real_probe,
     )
-    rows = list(chain.from_iterable(_fan_out(replica, seed, samples, workers)))
-    freqs = _event_freqs(rows, grid, "adelic_rate", bound)
-    misses = [r.value for r in rows if r.statistic == "probe_miss"]
-    miss_rate = math.fsum(misses) / len(misses)
+    results = _fan_out(replica, seed, samples, workers)
+    rows = []
+    for s, firsts, totals, probe_ok in results:
+        for n, first, total in zip(grid, firsts, totals):
+            rows.append(Row("prop44", "", n, s, "height_ratio", first))
+            rows.append(Row("prop44", "", n, s, "adelic_rate", total))
+        rows.append(Row("prop44", "", n_stab, s, "probe_miss", float(not probe_ok)))
+    columns = zip(*(totals for _, _, totals, _ in results))
+    freqs = {n: sum(v <= bound for v in col) / samples for n, col in zip(grid, columns)}
     summary = {
         "bound": bound,
         "frequencies": {str(n): freqs[n] for n in grid},
         "final_frequency": freqs[grid[-1]],
         "freq_threshold": freq_threshold,
-        "probe_miss_rate": miss_rate,
+        "probe_miss_rate": sum(not ok for *_, ok in results) / samples,
         "n_stab": n_stab,
     }
     config = {
@@ -689,6 +682,8 @@ def run_stationarity(
     total-variation distance of the two histograms.  The threshold is a test
     calibration, not a derived quantity.
     """
+    if n < 0:
+        raise ValueError("walk length must be nonnegative")
     profile = drift_profile(mu)
     if profile.exact().get(p, Fraction(0)) <= 0:
         raise ValueError(f"prime {p} does not contract")

@@ -353,7 +353,7 @@ def extract_boundary(
         max_b = max(abs(float(g.b)) for g in mu.support)
         # with every b = 0, Z stays 0 and R is always locked
         need = math.log(real_tol * safety) - math.log(max_b) if max_b else math.inf
-        real = (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
+        real = (need, _valuation_table(mu, INFINITE_PLACE)[0])
         real_bound = math.log(real_tol / 2)
 
     walker = _Walker(_encode(mu), seed, max_bits)

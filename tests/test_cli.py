@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -327,6 +328,32 @@ _MINIMAL = {
     ),
     "entropy": ([], [], {}),
 }
+
+
+# each subcommand's flags, as the hand-written parser declared them
+_FLAG_SETS = {
+    "validate": set(),
+    "drift": set(),
+    "gauge": {"--k", "--k-max"},
+    "walk": {"--n", "--p"},
+    "boundary": {"--p", "--digits", "--margin"},
+    "lln41": {"--n-grid"},
+    "lln43": {"--n-grid", "--places", "--epsilon"},
+    "prop44": {"--n-grid", "--places", "--epsilon"},
+    "entropy": {"--n-max", "--cell-budget"},
+}
+
+
+def test_subcommand_flag_sets():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        cmd: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for cmd, p in sub.choices.items()
+    }
+    assert flags == _FLAG_SETS
+    # walk tracks several primes, one --p each
+    assert cli.build_parser().parse_args(["walk", "--p", "2", "--p", "3"]).p == ["2", "3"]
 
 
 class TestParameterTable:

@@ -195,9 +195,12 @@ class TestMonteCarloSuites:
             (run_prop44, {"places": [], "n_grid": [5], "samples": 1}),
             (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": 0}),
             (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": -1}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": -3, "samples": 2}),
+            (run_lln41, {"n_grid": [5], "samples": 2, "workers": 0}),
         ],
         ids=["grid-zero", "grid-empty", "lln41-samples-0", "prop44-samples-0",
-             "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative"],
+             "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative",
+             "stationarity-n-negative", "lln41-workers-0"],
     )
     def test_range_checks_raise_value_error(self, mu_rev, run, kwargs):
         with pytest.raises(ValueError):
@@ -215,6 +218,32 @@ class TestPinnedReports:
         rep = run_stationarity(mu_rev, 2, 6, 50, samples=500, seed=9)
         assert _sha256(render_csv(rep)) == (
             "edb8b1fb3de68bedecb95aa8f07d6172b759f77f0954ddb827af3fa695c1a2f6"
+        )
+
+    def test_lln41_bytes(self, mu_bias):
+        rep = run_lln41(mu_bias, n_grid=[50, 100], samples=12, seed=3)
+        assert _sha256(render_csv(rep)) == (
+            "9378ab899d9bafb1bf9b8b7c6735eb5212c92710426f6425edbcd31c6fe9ef70"
+        )
+
+    def test_lln43_bytes(self, mu_bias):
+        rep = run_lln43(mu_bias, [2, INFINITE_PLACE], n_grid=[50, 100], samples=12, seed=3)
+        assert _sha256(render_csv(rep)) == (
+            "5e74631578f8a2a5a0b3594fc99dc9fdb3e98614447fc054ec9182bb650fe124"
+        )
+
+    def test_prop44_joint_bytes(self):
+        # contracts at both 2 and the infinite place
+        mu = StepDistribution({
+            AffineMap(F(2, 3), 1): F(1, 2),
+            AffineMap(F(4, 5), 0): F(1, 4),
+            AffineMap(F(4, 5), F(1, 7)): F(1, 4),
+        })
+        rep = run_prop44(
+            mu, [2, INFINITE_PLACE], n_grid=[10, 30], samples=8, seed=6, stab_factor=2, margin=8
+        )
+        assert _sha256(render_csv(rep)) == (
+            "23901cef77256d8c17b938c06cc1b41614a73ae2677cda9a65d131dc06baa815"
         )
 
     def test_prop44_finite_bytes(self, mu_rev):
