@@ -257,13 +257,13 @@ def run_walk(
     rows = []
 
     def snapshot(m: int):
-        rows.append(Row("walk", "", m, seed, "log_abs_A", log_norm(walker.a, INFINITE_PLACE)))
-        lz = log_norm(walker.z, INFINITE_PLACE) if walker.z != 0 else -math.inf
+        a, z = walker.a, walker.z
+        rows.append(Row("walk", "", m, seed, "log_abs_A", log_norm(a, INFINITE_PLACE)))
+        lz = log_norm(z, INFINITE_PLACE) if z != 0 else -math.inf
         rows.append(Row("walk", "", m, seed, "log_abs_Z", lz))
         for p in primes:
-            rows.append(Row("walk", str(p), m, seed, "v_A", float(valuation(walker.a, p))))
-            vz = valuation(walker.z, p)
-            rows.append(Row("walk", str(p), m, seed, "v_Z", float(vz)))
+            rows.append(Row("walk", str(p), m, seed, "v_A", float(valuation(a, p))))
+            rows.append(Row("walk", str(p), m, seed, "v_Z", float(valuation(z, p))))
 
     snapshot(0)
     for m in range(1, n + 1):

@@ -25,7 +25,7 @@ from .exact import INFINITE_PLACE, Place, format_place, log_norm, prime_factors,
 from .group import AffineMap, IDENTITY, compose
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
-from .prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
+from .prng import cumulative_thresholds, next_u64_lanes, pick_index, replica_seed
 
 __all__ = [
     "Trajectory",
@@ -117,21 +117,22 @@ class _Walker:
     N = Z_n * scale * D.  A step adds P * b to N and multiplies P by a,
     dividing exactly; when an exponent drops below its floor, N, P and D are
     first scaled by the deficit.  No step takes a gcd.
+
+    Atoms come from ``_draws``, the seed's one atom-index stream.
     """
 
     __slots__ = (
-        "primes", "min_vb", "exponents", "rng", "count", "max_bits",
-        "_thresholds", "_codes", "_scale", "_floor", "_p", "_n", "_d",
+        "primes", "min_vb", "exponents", "count", "max_bits",
+        "_draws", "_codes", "_scale", "_floor", "_p", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int, max_bits: int = DEFAULT_MAX_BITS):
         self.primes = enc.primes
         self.min_vb = enc.min_vb
         self.exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
-        self.rng = SplitMix64(seed)
         self.count = 0
+        self._draws = _draws(enc.thresholds, seed)
         self.max_bits = max_bits
-        self._thresholds = enc.thresholds
         self._codes = enc.codes
         self._scale = enc.scale
         self._floor = [0] * len(enc.primes)
@@ -141,7 +142,7 @@ class _Walker:
 
     def step(self) -> int:
         """Draw one atom, advance the state, and return the atom's index."""
-        i = pick_index(self.rng.next_u64(), self._thresholds)
+        i = next(self._draws)
         b, num, den, moves = self._codes[i]
         # x_k = x_{k-1} * g_k: translation picks up A_{k-1} b_k
         if b:
@@ -431,10 +432,15 @@ def boundary_digits(
 
 
 def _draws(thresholds: Sequence[int], seed: int) -> Iterator[int]:
-    """Atom indices of one seed's stream, drawn as ``_Walker.step`` draws them."""
-    rng = SplitMix64(seed)
+    """Atom indices of one seed's stream: ``pick_index`` of each ``SplitMix64(seed)`` output.
+
+    The outputs are computed ``LANES`` at a time by ``next_u64_lanes``.
+    """
+    state = seed
     while True:
-        yield pick_index(rng.next_u64(), thresholds)
+        state, lanes = next_u64_lanes(state)
+        for u in lanes:
+            yield pick_index(u, thresholds)
 
 
 def _valuation_table(mu: StepDistribution, place: Place) -> tuple[list, list]:
@@ -470,6 +476,8 @@ def divergence_statistic(
     approaches the positive part of the drift, witnessing that |Z_n|_p does
     not stay bounded.  Contracting places are rejected.
     """
+    if n < 1 or samples < 1:
+        raise ValueError("length and sample count must be at least 1")
     if place in drift_profile(mu).contracting():
         raise ValueError(f"place {format_place(place)} contracts; statistic undefined")
     incr_a, incr_b = _valuation_table(mu, place)
@@ -511,6 +519,8 @@ def increment_valuation_rate(
     On contracting primes this approaches -drift/1 (positive), mirroring the
     geometric decay of the tail.  Returned in nats: v_p * ln(p) / n.
     """
+    if n < 1:
+        raise ValueError("length must be at least 1")
     if p == INFINITE_PLACE:
         raise ValueError("the increment valuation needs a finite prime")
     if all(g.b == 0 for g in mu.support):

@@ -12,7 +12,9 @@ from affwalk import (
     StepDistribution,
     ball_key_exact,
     cli,
+    divergence_statistic,
     experiments,
+    increment_valuation_rate,
     measure_config,
 )
 from affwalk.experiments import (
@@ -20,6 +22,7 @@ from affwalk.experiments import (
     Row,
     render_csv,
     render_json,
+    run_boundary,
     run_drift,
     run_entropy,
     run_gauge,
@@ -197,10 +200,14 @@ class TestMonteCarloSuites:
             (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": -1}),
             (run_stationarity, {"p": 2, "radius_exponent": 4, "n": -3, "samples": 2}),
             (run_lln41, {"n_grid": [5], "samples": 2, "workers": 0}),
+            (divergence_statistic, {"place": INFINITE_PLACE, "n": 0, "samples": 2, "seed": 0}),
+            (divergence_statistic, {"place": INFINITE_PLACE, "n": 5, "samples": 0, "seed": 0}),
+            (increment_valuation_rate, {"p": 2, "n": 0, "seed": 0}),
         ],
         ids=["grid-zero", "grid-empty", "lln41-samples-0", "prop44-samples-0",
              "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative",
-             "stationarity-n-negative", "lln41-workers-0"],
+             "stationarity-n-negative", "lln41-workers-0", "divergence-n-0",
+             "divergence-samples-0", "increment-rate-n-0"],
     )
     def test_range_checks_raise_value_error(self, mu_rev, run, kwargs):
         with pytest.raises(ValueError):
@@ -244,6 +251,18 @@ class TestPinnedReports:
         )
         assert _sha256(render_csv(rep)) == (
             "23901cef77256d8c17b938c06cc1b41614a73ae2677cda9a65d131dc06baa815"
+        )
+
+    def test_walk_bytes(self, mu_rev):
+        rep = run_walk(mu_rev, 300, seed=3, primes=[2, 3])
+        assert _sha256(render_csv(rep)) == (
+            "e88b6680670ed728e0b7deccc25b3d3b1e24ea1b5159e35de3a19dae83944cc7"
+        )
+
+    def test_boundary_bytes(self, mu_rev):
+        rep = run_boundary(mu_rev, 2, digits=16, seed=5)
+        assert _sha256(render_csv(rep)) == (
+            "ba78979cc270bc7cc94dd91ae80997dd734c1c6c3e697015bba45138a9f10220"
         )
 
     def test_prop44_finite_bytes(self, mu_rev):
