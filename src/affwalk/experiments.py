@@ -32,7 +32,7 @@ from .exact import (
     log_norm_plus,
     valuation,
 )
-from .group import gauge_count_bound, gauge_enumerate
+from .group import GAUGE_K_MAX, gauge_count_bound, gauge_enumerate
 from .measure import (
     DEFAULT_CELL_BUDGET,
     StepDistribution,
@@ -230,7 +230,7 @@ def run_drift(mu: StepDistribution) -> Report:
     )
 
 
-def run_gauge(k: float, k_max: float = 5.0) -> Report:
+def run_gauge(k: float, k_max: float = GAUGE_K_MAX) -> Report:
     elements = gauge_enumerate(k, k_max)
     bound = gauge_count_bound(k)
     count = len(elements)
@@ -415,7 +415,7 @@ def run_lln43(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     grid = _grid(n_grid)
-    places = tuple(places)
+    places = tuple(dict.fromkeys(places))  # each place counts once
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
     replica = partial(_lln43_replica, encoding=_encode(mu), grid=grid, places=places)
@@ -497,7 +497,7 @@ def run_prop44(
         raise ValueError("epsilon must be positive")
     if stab_factor < 1:
         raise ValueError("stab_factor must be at least 1")
-    places = tuple(places)
+    places = tuple(dict.fromkeys(places))  # each place counts once
     if not places:
         raise ValueError("prop44 needs a non-empty place list")
     grid = _grid(n_grid)

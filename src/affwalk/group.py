@@ -1,11 +1,10 @@
-"""The group of rational affine maps and its adelic extension.
+"""The group of rational affine maps and its adelic length.
 
-An AffineMap (a, b) sends x to a*x + b with rational a != 0.  HPoint extends
-the translation part to one exact rational coordinate per place: a default
-value shared by every place (the diagonal image of a rational) plus finitely
-many per-place overrides.  The adelic length of (a, z) is height(a) plus the
-sum over all places of ln+ of the coordinate norms; gauges are its sublevel
-sets.
+An AffineMap (a, b) sends x to a*x + b with rational a != 0.  A boundary
+point is one rational seen in every place, so the diagonal embedding of
+(a, b) into the product over places is (a, b) itself.  Its adelic length is
+height(a) plus the sum over all places of ln+ |b|_p; gauges are its
+sublevel sets.
 """
 
 from __future__ import annotations
@@ -14,24 +13,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .exact import (
-    Place,
-    format_rational,
-    height,
-    height_plus,
-    log_norm_plus,
-)
+from .exact import format_rational, height, height_plus
 
 __all__ = [
     "AffineMap",
     "IDENTITY",
     "compose",
     "inverse",
-    "act",
     "format_affine",
-    "HPoint",
     "embed",
     "h_compose",
     "adelic_length",
@@ -84,78 +75,23 @@ def inverse(g: AffineMap) -> AffineMap:
     return AffineMap(1 / g.a, -g.b / g.a)
 
 
-def act(g: AffineMap, z) -> Fraction:
-    return g.a * Fraction(z) + g.b
-
-
 def format_affine(g: AffineMap) -> str:
     """Serialize as "a=num/den;b=num/den"."""
     return f"a={format_rational(g.a)};b={format_rational(g.b)}"
 
 
-def _place_order(p: Place) -> tuple[int, float]:
-    return (1, 0.0) if p == math.inf else (0, p)
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """Element (a, (z_p)_p) of the extended group.
-
-    ``default`` is the translation coordinate at every place not listed in
-    ``overrides``; the diagonal embedding of (a, b) is default=b with no
-    overrides.  Overrides equal to the default are dropped, so equality of
-    HPoints is equality of the coordinate functions.
-    """
-
-    a: Fraction
-    default: Fraction
-    overrides: tuple[tuple[Place, Fraction], ...]
-
-    def __init__(self, a, default=0, overrides: Mapping[Place, Fraction] | None = None):
-        a = Fraction(a)
-        if a == 0:
-            raise ValueError("linear part must be nonzero")
-        default = Fraction(default)
-        cleaned = []
-        if overrides:
-            for place, z in overrides.items() if isinstance(overrides, Mapping) else overrides:
-                z = Fraction(z)
-                if z != default:
-                    cleaned.append((place, z))
-        cleaned.sort(key=lambda item: _place_order(item[0]))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "overrides", tuple(cleaned))
-
-    def coordinate(self, place: Place) -> Fraction:
-        for p, z in self.overrides:
-            if p == place:
-                return z
-        return self.default
-
-
-def embed(g: AffineMap) -> HPoint:
+def embed(g: AffineMap) -> AffineMap:
     """Diagonal embedding: the same rational translation at every place."""
-    return HPoint(g.a, g.b)
+    return g
 
 
-def h_compose(y1: HPoint, y2: HPoint) -> HPoint:
-    """(a, (z_p)) * (a', (z'_p)) = (a*a', (a*z'_p + z_p))."""
-    keys = {p for p, _ in y1.overrides} | {p for p, _ in y2.overrides}
-    merged = {p: y1.a * y2.coordinate(p) + y1.coordinate(p) for p in keys}
-    return HPoint(y1.a * y2.a, y1.a * y2.default + y1.default, merged)
+# The diagonal image is closed under the product, so it is the group law.
+h_compose = compose
 
 
-def adelic_length(y: HPoint) -> float:
-    """height(a) + sum over all places of ln+ of the translation norms.
-
-    The default coordinate contributes through the closed form
-    height_plus(default); each override replaces that place's term.
-    """
-    total = height(y.a) + height_plus(y.default)
-    for place, z in y.overrides:
-        total += log_norm_plus(z, place) - log_norm_plus(y.default, place)
-    return total
+def adelic_length(g: AffineMap) -> float:
+    """height(a) + sum over all places of ln+ |b|_p, that is height_plus(b)."""
+    return height(g.a) + height_plus(g.b)
 
 
 def gauge_count_bound(k: float) -> float:
@@ -200,7 +136,7 @@ def gauge_enumerate(k: float, k_max: float = GAUGE_K_MAX) -> list[AffineMap]:
 
     This is the norm ball whose inverse image is the gauge of center (1, 0):
     g is enumerated here exactly when inverse(g) lies in that gauge, that is
-    when adelic_length(embed(g)) <= k.
+    when adelic_length(g) <= k.
     Uses the closed forms height(r/s) = ln(r*s) and
     height_plus(r'/s') = ln(max(r', s')) over coprime pairs; boundary ties
     are kept within BOUNDARY_TOL.

@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DegenerateMeasureError, StabilizationError
 from .exact import INFINITE_PLACE, Place, format_place, log_norm, prime_factors, valuation
-from .group import AffineMap, IDENTITY, compose
+from .group import AffineMap
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
 from .prng import cumulative_thresholds, next_u64_lanes, pick_index, replica_seed
@@ -57,12 +56,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    def position(self, n: int) -> AffineMap:
-        """x_n = (A_n, Z_n) = g_1 ... g_n, for 0 <= n <= length."""
-        if not 0 <= n <= self.length:
-            raise IndexError(f"position {n} outside 0..{self.length}")
-        return reduce(compose, self.steps[:n], IDENTITY)
 
 
 @dataclass(frozen=True)

@@ -448,6 +448,15 @@ class TestReproducibility:
         ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_repeated_place_counts_once(self, rev_config, tmp_path):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        base = ["--config", rev_config, "--seed", "3", "--replicas", "6"]
+        for target, places in ((once, "2"), (twice, "2,2")):
+            assert main(
+                base + ["--out", str(target), "prop44", "--n-grid", "20,40", "--places", places]
+            ) in (0, 1)
+        assert once.read_bytes() == twice.read_bytes()
+
     def test_seed_changes_rows(self, bias_config, tmp_path):
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
         assert main(

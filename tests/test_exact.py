@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from affwalk import (
     INFINITE_PLACE,
-    INFINITE_VALUATION,
     format_place,
     format_rational,
     height,
     height_plus,
-    is_prime,
     log_norm,
     log_norm_plus,
     parse_place,
@@ -21,6 +19,7 @@ from affwalk import (
     support_primes,
     valuation,
 )
+from affwalk.exact import INFINITE_VALUATION, is_prime
 from affwalk.experiments import _partial_plus
 
 nonzero_rationals = st.fractions(

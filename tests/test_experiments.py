@@ -99,6 +99,7 @@ class TestSmallSuites:
 
     def test_gauge_report(self):
         rep = run_gauge(math.log(2))
+        assert rep.config == {"k": math.log(2), "k_max": 5.0}
         stats = {r.statistic: r.value for r in rep.rows}
         assert stats["count"] == 26.0
         assert rep.passed is True
@@ -238,6 +239,12 @@ class TestPinnedReports:
         assert _sha256(render_csv(rep)) == (
             "5e74631578f8a2a5a0b3594fc99dc9fdb3e98614447fc054ec9182bb650fe124"
         )
+
+    def test_lln43_repeated_place_counts_once(self, mu_bias):
+        args = dict(n_grid=[50, 100], samples=12, seed=3)
+        once = run_lln43(mu_bias, [2, INFINITE_PLACE], **args)
+        twice = run_lln43(mu_bias, [2, INFINITE_PLACE, INFINITE_PLACE], **args)
+        assert render_csv(twice) == render_csv(once)
 
     def test_prop44_joint_bytes(self):
         # contracts at both 2 and the infinite place

@@ -10,8 +10,6 @@ from affwalk import (
     IDENTITY,
     INFINITE_PLACE,
     AffineMap,
-    HPoint,
-    act,
     adelic_length,
     compose,
     embed,
@@ -22,7 +20,9 @@ from affwalk import (
     height,
     height_plus,
     inverse,
+    log_norm_plus,
     parse_rational,
+    support_primes,
 )
 
 small_fractions = st.fractions(
@@ -32,22 +32,20 @@ nonzero_fractions = small_fractions.filter(lambda q: q != 0)
 
 affine_maps = st.builds(AffineMap, nonzero_fractions, small_fractions)
 
-_H_IDENTITY = HPoint(1, 0)
-
 
 def _parse_affine(text: str) -> AffineMap:
     parts = dict(item.split("=", 1) for item in text.strip().split(";"))
     return AffineMap(parse_rational(parts["a"]), parse_rational(parts["b"]))
 
 
-def _h_inverse(y: HPoint) -> HPoint:
-    merged = {p: -z / y.a for p, z in y.overrides}
-    return HPoint(1 / y.a, -y.default / y.a, merged)
+def _act(g: AffineMap, z) -> Fraction:
+    """Reference for compose: the map x -> a*x + b applied to a rational."""
+    return g.a * Fraction(z) + g.b
 
 
-def _gauge_member(g: AffineMap, y: HPoint, k: float) -> bool:
+def _gauge_member(g: AffineMap, y: AffineMap, k: float) -> bool:
     """Reference for gauge_enumerate: adelic length of g^(-1) * y at most k."""
-    return adelic_length(h_compose(_h_inverse(embed(g)), y)) <= k + BOUNDARY_TOL
+    return adelic_length(compose(inverse(g), y)) <= k + BOUNDARY_TOL
 
 
 class TestGroupLaw:
@@ -72,7 +70,7 @@ class TestGroupLaw:
 
     @given(affine_maps, affine_maps, small_fractions)
     def test_action_is_homomorphism(self, f, g, x):
-        assert act(compose(f, g), x) == act(f, act(g, x))
+        assert _act(compose(f, g), x) == _act(f, _act(g, x))
 
     @given(affine_maps)
     def test_roundtrip_format(self, g):
@@ -80,55 +78,32 @@ class TestGroupLaw:
 
 
 class TestHSpace:
-    def test_embed_coordinates(self):
-        y = embed(AffineMap(2, Fraction(1, 3)))
-        assert y.a == 2
-        # the translation part is the same rational at every place
-        assert y.coordinate(2) == Fraction(1, 3)
-        assert y.coordinate(7) == Fraction(1, 3)
-        assert y.coordinate(INFINITE_PLACE) == Fraction(1, 3)
-
-    def test_override_storage_drops_defaults(self):
-        y = HPoint(Fraction(2), Fraction(1), {3: Fraction(1)})
-        assert y.overrides == ()
-
     @given(affine_maps, affine_maps)
     def test_embedding_is_homomorphism(self, g1, g2):
         assert h_compose(embed(g1), embed(g2)) == embed(compose(g1, g2))
 
     @given(affine_maps)
     def test_h_inverse_matches_group_inverse(self, g):
-        assert _h_inverse(embed(g)) == embed(inverse(g))
-
-    def test_h_compose_mixed_overrides(self):
-        y1 = HPoint(Fraction(2), Fraction(0), {2: Fraction(1)})
-        y2 = HPoint(Fraction(3), Fraction(1), {5: Fraction(2)})
-        y = h_compose(y1, y2)
-        assert y.a == 6
-        # coordinate rule: a1 * z2_v + z1_v, place by place
-        assert y.coordinate(2) == 2 * 1 + 1
-        assert y.coordinate(5) == 2 * 2 + 0
-        assert y.coordinate(7) == 2 * 1 + 0
+        assert h_compose(embed(inverse(g)), embed(g)) == embed(IDENTITY)
 
     @given(affine_maps)
     def test_length_of_embedding(self, g):
         got = adelic_length(embed(g))
         assert got == pytest.approx(height(g.a) + height_plus(g.b), abs=1e-12)
-
-    def test_length_with_override(self):
-        # override at one place replaces that place's contribution only
-        y = HPoint(Fraction(1), Fraction(0), {2: Fraction(1, 4)})
-        assert adelic_length(y) == pytest.approx(2 * math.log(2))
+        # the closed form is the sum of ln+ |b|_p over every place, one by one
+        places = (*(support_primes(g.b) if g.b else ()), INFINITE_PLACE)
+        per_place = math.fsum(log_norm_plus(g.b, p) for p in places)
+        assert got == pytest.approx(height(g.a) + per_place, abs=1e-12)
 
     def test_identity_length_zero(self):
-        assert adelic_length(_H_IDENTITY) == 0.0
+        assert adelic_length(IDENTITY) == 0.0
 
 
 class TestGauge:
     def test_member_identity(self):
-        assert _gauge_member(IDENTITY, _H_IDENTITY, 0.0)
-        assert _gauge_member(AffineMap(2, 0), _H_IDENTITY, math.log(2) + 1e-13)
-        assert not _gauge_member(AffineMap(2, 0), _H_IDENTITY, 0.5)
+        assert _gauge_member(IDENTITY, IDENTITY, 0.0)
+        assert _gauge_member(AffineMap(2, 0), IDENTITY, math.log(2) + 1e-13)
+        assert not _gauge_member(AffineMap(2, 0), IDENTITY, 0.5)
 
     def test_enumerate_small(self):
         ball0 = gauge_enumerate(0.0)
@@ -163,7 +138,7 @@ class TestGauge:
         """g lies in the norm ball iff inverse(g) is gauge-close to identity."""
         ball = set(gauge_enumerate(k))
         for g in ball:
-            assert _gauge_member(inverse(g), _H_IDENTITY, k)
+            assert _gauge_member(inverse(g), IDENTITY, k)
         # spot-check the converse on a fixed candidate set
         for g in gauge_enumerate(3.0):
             ln = adelic_length(embed(g))

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +17,7 @@ from affwalk import (
     StepDistribution,
     ball_key_exact,
     boundary_digits,
+    compose,
     divergence_statistic,
     extract_boundary,
     increment_valuation_rate,
@@ -32,6 +34,11 @@ F = Fraction
 def _bits(a, z):
     """Bit size of the reduced (A, Z), as the walk's guard counts it."""
     return sum(x.bit_length() for x in (*a.as_integer_ratio(), *z.as_integer_ratio()))
+
+
+def _position(traj, n: int) -> AffineMap:
+    """Reference x_n = (A_n, Z_n) = g_1 ... g_n of a sampled trajectory."""
+    return reduce(compose, traj.steps[:n], IDENTITY)
 
 
 def _fraction_walk(mu, seed, n, max_bits=None):
@@ -83,10 +90,9 @@ class TestSamplePath:
         reference, _ = _fraction_walk(mu_bias, 42, 60)
         assert traj.steps == tuple(g for g, _, _ in reference)
         for i, (_, a, z) in enumerate(reference, start=1):
-            assert traj.position(i) == AffineMap(a, z)
-        assert traj.position(0) == IDENTITY
-        with pytest.raises(IndexError):
-            traj.position(61)
+            assert _position(traj, i) == AffineMap(a, z)
+        assert _position(traj, 0) == IDENTITY
+        assert traj.length == 60
 
     def test_deterministic_in_seed(self, mu_rev):
         a = sample_path(mu_rev, seed=7, n=40)
@@ -175,7 +181,7 @@ class TestExtractBoundary:
         assert all(ok for _, ok in sample.probes)
         # the same seed draws the same atoms, so sample_path gives the prefix
         n = sample.stabilization_index
-        assert sample_path(mu_rev, n, seed=1).position(n).b == sample.value
+        assert _position(sample_path(mu_rev, n, seed=1), n).b == sample.value
 
     def test_representative_valuation_stability(self, mu_rev):
         # the 2-adic ball of the representative must match a later refinement
