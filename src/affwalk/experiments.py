@@ -14,7 +14,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -168,6 +167,9 @@ def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers:
     chunk = max(1, math.ceil(samples / (workers * 4)))
     bounds = list(range(0, samples, chunk)) + [samples]
     jobs = [(fn, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    # imported here: the pool's import tree is a cost a 1-worker run never pays
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(chain.from_iterable(pool.map(_run_chunk, jobs)))
 
@@ -253,6 +255,7 @@ def run_walk(
     """Dump one trajectory's growth statistics (plot-ready)."""
     if n < 0:
         raise ValueError("walk length must be nonnegative")
+    primes = tuple(dict.fromkeys(primes))  # each prime counts once
     walker = _Walker(_encode(mu), seed)
     rows = []
 
@@ -266,8 +269,9 @@ def run_walk(
             rows.append(Row("walk", str(p), m, seed, "v_Z", float(valuation(z, p))))
 
     snapshot(0)
+    step = walker.step
     for m in range(1, n + 1):
-        walker.step()
+        step()
         snapshot(m)
     return Report(
         name="walk",
@@ -329,13 +333,14 @@ def run_boundary(
 def _grid_walk(encoding, seed: int, grid: Sequence[int], n: int) -> tuple[_Walker, list]:
     """The walker after ``n >= grid[-1]`` steps, and (A_m, Z_m) at each grid point m."""
     walker = _Walker(encoding, seed)
+    step = walker.step
     snaps = []
     for m in grid:
         for _ in range(m - walker.count):
-            walker.step()
+            step()
         snaps.append((walker.a, walker.z))
     for _ in range(n - walker.count):
-        walker.step()
+        step()
     return walker, snaps
 
 
@@ -652,8 +657,9 @@ def _stationarity_replica(
 ) -> tuple[int, tuple[tuple, tuple], int, bool]:
     """(seed, ball keys of the tail point at steps 0 and n, lock index, probe verdict)."""
     walker = _Walker(encoding, seed)
+    step = walker.step
     for _ in range(n):
-        walker.step()
+        step()
     a_n, z_n = walker.a, walker.z
     # lock the representative at a resolution fine enough for the tail at n;
     # p contracts, so it divides some atom's linear part and has a slot

@@ -4,9 +4,13 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -342,6 +346,23 @@ _FLAG_SETS = {
     "prop44": {"--n-grid", "--places", "--epsilon"},
     "entropy": {"--n-max", "--cell-budget"},
 }
+
+
+def test_one_worker_run_skips_the_process_pool():
+    # the pool's import tree (multiprocessing) is paid only by a pooled run
+    code = (
+        "import sys, affwalk, affwalk.cli\n"
+        "mu = affwalk.parse_measure_config(%r['measure'])\n"
+        "affwalk.experiments.run_lln41(mu, n_grid=[10], samples=4, seed=1, workers=1)\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    ) % BIAS
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_subcommand_flag_sets():

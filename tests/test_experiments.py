@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -266,6 +267,11 @@ class TestPinnedReports:
             "e88b6680670ed728e0b7deccc25b3d3b1e24ea1b5159e35de3a19dae83944cc7"
         )
 
+    def test_walk_repeated_prime_counts_once(self, mu_rev):
+        once = run_walk(mu_rev, 3, seed=0, primes=[3])
+        twice = run_walk(mu_rev, 3, seed=0, primes=[3, 3])
+        assert render_csv(twice) == render_csv(once)
+
     def test_boundary_bytes(self, mu_rev):
         rep = run_boundary(mu_rev, 2, digits=16, seed=5)
         assert _sha256(render_csv(rep)) == (
@@ -338,7 +344,7 @@ class _InlinePool:
 )
 def test_fan_out_clamps_workers(mu_bias, monkeypatch, workers, samples, cpus, pool):
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     args = dict(n_grid=[10], samples=samples, seed=1)
     rep = run_lln41(mu_bias, workers=workers, **args)

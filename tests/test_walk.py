@@ -260,6 +260,30 @@ class TestIntegerEngine:
                 assert v == valuation(a, p)
         assert walker.count == n
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _atoms,
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 150),
+        st.dictionaries(st.integers(1, 150), st.sampled_from("az"), max_size=8),
+    )
+    @example(_MIXED, 5, 150, {7: "a", 40: "z", 41: "a", 95: "z", 150: "a"})
+    def test_sparse_reads_match_fraction_reference(self, atoms, seed, n, reads):
+        # the slope integer is brought up to date only by a translation step,
+        # a read of a, or the bit guard: unread steps leave it stale
+        mu = _measure(atoms)
+        walker = _Walker(_encode(mu), seed)
+        reference, _ = _fraction_walk(mu, seed, n)
+        for k, (g, a, z) in enumerate(reference, start=1):
+            assert mu.support[walker.step()] == g
+            if reads.get(k) == "a":
+                assert walker.a == a
+            elif reads.get(k) == "z":
+                assert walker.z == z
+        _, a, _ = reference[-1]
+        assert walker.count == n
+        assert walker.exponents == [valuation(a, p) for p in walker.primes]
+
     def test_primes_cover_every_slope(self):
         enc = _encode(_measure(_MIXED))
         assert enc.primes == (2, 3, 5, 7)
@@ -279,6 +303,18 @@ class TestIntegerEngine:
             sample_path(mu, 256, seed, max_bits=max_bits)
         step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
         assert (step, info.value.reached) == hit
+
+    def test_bit_guard_counts_the_pending_slope(self):
+        # no translation in the first 32 steps: only the guard itself brings
+        # the slope integer up to date before it bounds the state's size
+        mu = _measure([(F(2**30), F(0), 63), (F(1, 2), F(1), 1)])
+        reference, hit = _fraction_walk(mu, 0, 64, 100)
+        assert all(g.b == 0 for g, _, _ in reference[:32])
+        assert hit == (32, 963)
+        with pytest.raises(BudgetError) as info:
+            sample_path(mu, 64, 0, max_bits=100)
+        assert info.value.reached == 963
+        assert "at step 32," in str(info.value)
 
     def test_bit_guard_boundaries(self):
         # guards set at and just below each checkpoint's size: the walk must
