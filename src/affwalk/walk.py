@@ -14,9 +14,9 @@ probe outcome is recorded, never silently trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DegenerateMeasureError, StabilizationError
@@ -24,7 +24,15 @@ from .exact import INFINITE_PLACE, Place, format_place, log_norm, prime_factors,
 from .group import AffineMap
 from .measure import StepDistribution, drift_profile, validate
 from .padic import PadicExpansion, ball_key_exact, expand
-from .prng import cumulative_thresholds, next_u64_lanes, pick_index, replica_seed
+from .prng import (
+    LANES,
+    cumulative_thresholds,
+    lane_offsets,
+    next_u64_lanes,
+    pick_index,
+    pick_lanes,
+    replica_seed,
+)
 
 __all__ = [
     "Trajectory",
@@ -44,6 +52,7 @@ __all__ = [
 DEFAULT_MARGIN = 32
 DEFAULT_STEP_CAP = 200_000
 DEFAULT_MAX_BITS = 1_000_000
+_BLOCK_ENTRIES = 8_192  # most words a block table may hold: m**k for m atoms
 
 
 @dataclass(frozen=True)
@@ -62,18 +71,57 @@ class Trajectory:
 class _Encoding:
     """Integer form of a step law's atoms, built once per run.
 
-    ``primes`` are the primes dividing some atom's linear part.  Code i holds
-    atom g_i = (a_i, b_i) as (b, num, den, moves): a_i = num / den,
-    b_i = b / scale over the lcm ``scale`` of the b denominators, and moves
-    the nonzero (prime index, v_p(a_i)) pairs.  ``min_vb[j]`` is the least
-    v_p(b_i) over atoms with b_i != 0 for p = primes[j], None when every b is 0.
+    ``offsets`` is the law's packed-pick rule (see ``lane_offsets``).
+    ``primes`` are the primes dividing some atom's linear part.  ``steps[i]``
+    is atom i's entry (see ``entry``), over the lcm ``scale`` of the b
+    denominators.  ``min_vb[j]`` is the least v_p(b_i) over atoms with
+    b_i != 0 for p = primes[j], None when every b is 0.
+
+    ``blocks`` maps a word of atom indices (bytes or a tuple) to its entry:
+    words of length ``block``, and their halves.  A word met for the first
+    time maps to None and is applied one step at a time; the second time, its
+    entry is built.  Each process fills its own table: a pickled encoding
+    carries it empty.
     """
 
     thresholds: tuple[int, ...]
+    offsets: Optional[tuple[int, ...]]
     primes: tuple[int, ...]
     scale: int
-    codes: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
+    steps: tuple[tuple, ...]
     min_vb: tuple[Optional[int], ...]
+    block: int
+    blocks: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "blocks": {}}
+
+    def entry(self, word: Sequence[int]) -> tuple:
+        """(C, G, num, den, moves) of the word's composite step g = (a, b).
+
+        a = num / den and b * scale = C / G, both reduced; moves holds
+        (j, change of v_p, least v_p over the word's prefixes, never above 0)
+        for each p = primes[j].  Built from the entries of the word's halves.
+        """
+        if len(word) == 1:
+            return self.steps[word[0]]
+        entry = self.blocks.get(word)
+        if entry is None:
+            half = len(word) // 2
+            c1, g1, num1, den1, moves1 = self.entry(word[:half])
+            c2, g2, num2, den2, moves2 = self.entry(word[half:])
+            # (a1, b1) then (a2, b2) is (a1 a2, b1 + a1 b2)
+            num, den = num1 * num2, den1 * den2
+            r = math.gcd(num, den)
+            c, g = c1 * den1 * g2 + num1 * c2 * g1, g1 * den1 * g2
+            t = math.gcd(c, g)
+            moves = tuple(
+                (j, v1 + v2, min(low1, v1 + low2))
+                for (j, v1, low1), (_, v2, low2) in zip(moves1, moves2)
+            )
+            entry = (c // t, g // t, num // r, den // r, moves)
+            self.blocks[word] = entry
+        return entry
 
 
 def _encode(mu: StepDistribution) -> _Encoding:
@@ -84,21 +132,26 @@ def _encode(mu: StepDistribution) -> _Encoding:
     ]
     primes = tuple(sorted({p for num, den in factors for p in (*num, *den)}))
     scale = math.lcm(*(g.b.denominator for g in atoms))
-    codes = []
+    steps = []
     for g, (num, den) in zip(atoms, factors):
-        moves = tuple(
-            (j, num.get(p, 0) - den.get(p, 0))
-            for j, p in enumerate(primes)
-            if p in num or p in den
-        )
+        moves = []
+        for j, p in enumerate(primes):
+            v = num.get(p, 0) - den.get(p, 0)
+            moves.append((j, v, min(v, 0)))
         b = g.b.numerator * (scale // g.b.denominator)
-        codes.append((b, g.a.numerator, g.a.denominator, moves))
+        steps.append((b, 1, g.a.numerator, g.a.denominator, tuple(moves)))
     min_vb = tuple(
         min((valuation(g.b, p) for g in atoms if g.b != 0), default=None)
         for p in primes
     )
     thresholds = tuple(cumulative_thresholds(mu.weights))
-    return _Encoding(thresholds, primes, scale, tuple(codes), min_vb)
+    # the longest power-of-2 block, up to LANES, whose words fit the table
+    block = LANES
+    while len(atoms) ** block > _BLOCK_ENTRIES:
+        block //= 2
+    return _Encoding(
+        thresholds, lane_offsets(thresholds), primes, scale, tuple(steps), min_vb, block
+    )
 
 
 class _Walker:
@@ -106,31 +159,39 @@ class _Walker:
 
     A_n = +-prod primes[j]**exponents[j].  With ``_floor[j]`` the lowest
     exponent so far (never above 0) and D = prod primes[j]**-_floor[j], the
-    state keeps the integers N = Z_n * scale * D and D exact on every step,
-    and the slope integer P = A_n * D (which carries the sign) only as
-    ``_p * _mul / _div``: a step multiplies the small pending slots ``_mul``
-    and ``_div`` by its a = num / den, and by the deficit s when an exponent
-    drops below its floor (N and D are scaled by s at once).  P is needed only
-    by a step that adds a translation, N += P * b, so that step, ``a`` and the
-    bit guard first bring P up to date (one multiplication by ``_mul``, one
-    exact division by ``_div``) and reset the slots to 1.  No step takes a gcd.
+    state keeps the integers N = Z_n * scale * D and D, and the slope integer
+    P = A_n * D (which carries the sign) as ``_p * _mul / _div``.
 
-    Atoms come from ``_draws``, the seed's one atom-index stream.
+    ``step`` only reads the next atom of the current ``LANES``-draw batch and
+    counts it.  ``_flush`` applies the steps drawn since the last flush: whole
+    blocks of ``block`` steps by one composite entry each (a block word met
+    for the first time, and the rest, one step at a time; see
+    ``_Encoding``).  An entry first scales N, D and ``_mul`` by the deficit s of
+    its least prefix exponent below the floor, then adds the translation
+    N += P * C / G (one exact division) when C != 0, then folds a = num / den
+    into the small slots ``_mul`` and ``_div``.  Every ``LANES``th step
+    flushes and runs the bit guard, which brings P up to date (one
+    multiplication by ``_mul``, one exact division by ``_div``); reads of
+    ``a``, ``z`` and ``exponents`` flush first.  So P (once brought up to
+    date), N, D and the exponents are those of stepping one atom at a time,
+    and no step takes a gcd.
     """
 
     __slots__ = (
-        "primes", "min_vb", "exponents", "count", "max_bits",
-        "_draws", "_codes", "_scale", "_floor", "_p", "_mul", "_div", "_n", "_d",
+        "primes", "min_vb", "count", "max_bits", "_enc", "_batches", "_atoms",
+        "_done", "_exponents", "_scale", "_floor", "_p", "_mul", "_div", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int, max_bits: int = DEFAULT_MAX_BITS):
         self.primes = enc.primes
         self.min_vb = enc.min_vb
-        self.exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
         self.count = 0
-        self._draws = _draws(enc.thresholds, seed)
         self.max_bits = max_bits
-        self._codes = enc.codes
+        self._enc = enc
+        self._batches = _atom_batches(enc.thresholds, enc.offsets, seed)
+        self._atoms = next(self._batches)
+        self._done = 0  # steps applied to the state
+        self._exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
         self._scale = enc.scale
         self._floor = [0] * len(enc.primes)
         self._p = 1
@@ -140,40 +201,62 @@ class _Walker:
         self._d = 1
 
     def step(self) -> int:
-        """Draw one atom, advance the state, and return the atom's index."""
-        i = next(self._draws)
-        b, num, den, moves = self._codes[i]
-        # x_k = x_{k-1} * g_k: translation picks up A_{k-1} b_k
-        if b:
-            # _sync inlined: a method call here costs about 2% of a step
-            p, mul, div = self._p, self._mul, self._div
-            if mul != 1:
-                p *= mul
-            if div != 1:
-                p //= div
-            self._p = p
-            self._n += p if b == 1 else p * b
-            mul, div = num, den
-        else:
-            mul, div = self._mul * num, self._div * den
-        exponents, floor = self.exponents, self._floor
-        for j, v in moves:
-            v += exponents[j]
-            exponents[j] = v
-            if v < floor[j]:
-                s = self.primes[j] ** (floor[j] - v)
-                floor[j] = v
-                self._n *= s
-                self._d *= s
-                mul *= s
-        self._mul, self._div = mul, div
-        self.count += 1
-        if self.count % 32 == 0:
+        """Draw one atom and return its index."""
+        count = self.count
+        i = self._atoms[count % 32]  # 32 = LANES
+        self.count = count = count + 1
+        if not count % 32:
+            self._flush()
             self._check_bits()
+            self._atoms = next(self._batches)
         return i
 
+    def _flush(self) -> None:
+        """Apply the steps drawn since the last flush; see the class docstring."""
+        start = self._done % LANES
+        stop = start + self.count - self._done
+        if start == stop:
+            return
+        self._done = self.count
+        enc, atoms = self._enc, self._atoms
+        steps, blocks, k = enc.steps, enc.blocks, enc.block
+        whole = stop - (stop - start) % k
+        entries = []
+        for at in range(start, whole, k):
+            word = atoms[at:at + k]
+            entry = blocks.get(word)
+            if entry is not None:
+                entries.append(entry)
+            elif word in blocks:  # the word recurs, so its entry pays
+                entries.append(enc.entry(word))
+            else:
+                blocks[word] = None
+                entries += [steps[i] for i in word]
+        entries += [steps[i] for i in atoms[whole:stop]]
+        primes, exponents, floor = self.primes, self._exponents, self._floor
+        p, mul, div, n, d = self._p, self._mul, self._div, self._n, self._d
+        for c, g, num, den, moves in entries:
+            s = 1
+            for j, v, low in moves:
+                e = exponents[j]
+                if e + low < floor[j]:
+                    s *= primes[j] ** (floor[j] - e - low)
+                    floor[j] = e + low
+                exponents[j] = e + v
+            if s != 1:
+                n *= s
+                d *= s
+                mul *= s
+            # x * g: Z picks up A b, which is P * C / G in N's units
+            if c:
+                n += p * (mul * c) // (div * g)
+            mul *= num
+            div *= den
+        self._mul, self._div, self._n, self._d = mul, div, n, d
+
     def _sync(self) -> int:
-        """Bring P up to date from the pending slots, empty them, and return P."""
+        """Flush, bring P up to date from the pending slots, empty them, and return P."""
+        self._flush()
         if self._mul != 1:
             self._p *= self._mul
             self._mul = 1
@@ -210,17 +293,25 @@ class _Walker:
             )
 
     @property
+    def exponents(self) -> list[int]:
+        """v_p(A_n), in the order of primes."""
+        self._flush()
+        return list(self._exponents)
+
+    @property
     def a(self) -> Fraction:
+        negative = self._sync() < 0
         num = den = 1
-        for p, v in zip(self.primes, self.exponents):
+        for p, v in zip(self.primes, self._exponents):
             if v > 0:
                 num *= p**v
             elif v < 0:
                 den *= p**-v
-        return Fraction(num if self._sync() > 0 else -num, den)
+        return Fraction(-num if negative else num, den)
 
     @property
     def z(self) -> Fraction:
+        self._flush()
         return Fraction(self._n, self._scale * self._d)
 
 
@@ -258,7 +349,10 @@ def _lock(
     held on each of them.  The walk also runs to ``walker.count >= min_index``
     and raises StabilizationError once ``walker.count`` reaches ``step_cap``.
     """
+    # v_p(A_n), kept here from each atom's moves: the walker applies its
+    # steps only in blocks
     exponents = walker.exponents
+    moves = [entry[4] for entry in walker._enc.steps]
     slots = []
     for p, t in targets.items():
         # a contracting prime divides some atom's linear part, so it has a slot
@@ -275,6 +369,8 @@ def _lock(
             raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
         i = step()
         held += 1
+        for j, v, _ in moves[i]:
+            exponents[j] += v
         for j, need in slots:
             if exponents[j] < need:
                 held = 0
@@ -452,16 +548,29 @@ def boundary_digits(
     )
 
 
-def _draws(thresholds: Sequence[int], seed: int) -> Iterator[int]:
-    """Atom indices of one seed's stream: ``pick_index`` of each ``SplitMix64(seed)`` output.
+def _atom_batches(
+    thresholds: Sequence[int], offsets: Optional[Sequence[int]], seed: int
+) -> Iterator[Sequence[int]]:
+    """Atom indices of one seed's stream, ``LANES`` draws at a time.
 
-    The outputs are computed ``LANES`` at a time by ``next_u64_lanes``.
+    Draw k is ``pick_index`` of output k of ``SplitMix64(seed)``.  With the
+    law's ``lane_offsets`` it picks every lane in one packed compare
+    (``pick_lanes``, yielding bytes); a law above ``PACKED_ATOMS`` atoms has
+    none and picks lane by lane (yielding tuples).
     """
     state = seed
+    if offsets is not None:
+        while True:
+            state, atoms = pick_lanes(state, offsets)
+            yield atoms
     while True:
         state, lanes = next_u64_lanes(state)
-        for u in lanes:
-            yield pick_index(u, thresholds)
+        yield tuple([pick_index(u, thresholds) for u in lanes])
+
+
+def _draws(thresholds: Sequence[int], seed: int) -> Iterator[int]:
+    """Atom indices of one seed's stream, one draw at a time."""
+    return chain.from_iterable(_atom_batches(thresholds, lane_offsets(thresholds), seed))
 
 
 def _valuation_table(mu: StepDistribution, place: Place) -> tuple[list, list]:

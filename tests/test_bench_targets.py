@@ -4,6 +4,8 @@
 ``bench/tracer.Tracer``; a deleted or renamed target makes its per-layer
 metric read null, which only the slower ``python -m pytest bench`` notices.
 This installs every span on a fresh tracer, without running a workload.
+The benchmark also pins how many times the ``walk.step`` span fires: once
+per walk step, which a batching change to the walker must keep.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import affwalk.experiments
 import affwalk.walk
+from affwalk.walk import _Walker
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,3 +43,21 @@ def test_every_span_has_a_target():
     assert callable(affwalk.experiments.convolve)
     assert callable(affwalk.walk.sample_path)
     assert callable(affwalk.walk.boundary_digits)
+
+
+def test_prop44_calls_step_once_per_walk_step(monkeypatch, mu_rev):
+    calls = 0
+    step = _Walker.step
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return step(self)
+
+    monkeypatch.setattr(_Walker, "step", counted)
+    report = affwalk.experiments.run_prop44(
+        mu_rev, [2], n_grid=[10, 25], samples=3, seed=1, stab_factor=2, margin=8
+    )
+    n_stab = report.summary["n_stab"]
+    assert n_stab == 2 * 25
+    assert calls == 3 * (n_stab + 8)

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 from affwalk import AffineMap, StepDistribution
-from affwalk.prng import LANES, SplitMix64, cumulative_thresholds, next_u64_lanes, pick_index
+from affwalk.prng import (
+    LANES,
+    PACKED_ATOMS,
+    SplitMix64,
+    cumulative_thresholds,
+    lane_offsets,
+    next_u64_lanes,
+    pick_index,
+    pick_lanes,
+)
 from affwalk.walk import _encode, _Walker
 
 F = Fraction
@@ -26,20 +35,59 @@ def test_lanes_match_sequential_draws(seed):
         assert state == rng.state
 
 
-# seeds outside [0, 2^64); the last one overlaps the next lane unless masked
+# three atoms, so every lane's draw goes through more than one threshold
+_THREE = [(2, 0, F(1, 2)), (F(1, 3), 1, F(1, 3)), (-5, F(1, 2), F(1, 6))]
+
+
+def _law(n_atoms):
+    """n_atoms distinct atoms with unequal weights."""
+    weights = [i % 7 + 1 for i in range(n_atoms)]
+    return [(2, i, F(w, sum(weights))) for i, w in enumerate(weights)]
+
+
 @pytest.mark.parametrize(
-    "seed", [-1, 2**64 + 5, -(2**200) - 3], ids=["minus-1", "2^64+5", "minus-2^200-3"]
+    "atoms, seed",
+    [
+        # seeds outside [0, 2^64); the last one overlaps the next lane unless masked
+        pytest.param(_THREE, -1, id="minus-1"),
+        pytest.param(_THREE, 2**64 + 5, id="2^64+5"),
+        pytest.param(_THREE, -(2**200) - 3, id="minus-2^200-3"),
+        pytest.param([(2, 1, F(1))], 3, id="one-atom"),
+        pytest.param(_law(PACKED_ATOMS), 4, id="packed-cutoff"),
+        # the laws above the cutoff pick lane by lane
+        pytest.param(_law(PACKED_ATOMS + 1), 5, id="above-cutoff"),
+        pytest.param(_law(300), 6, id="300-atoms"),
+    ],
 )
-def test_walker_draws_the_reference_atoms(seed):
-    # three atoms, so every lane's draw goes through more than one threshold
-    mu = StepDistribution({
-        AffineMap(2, 0): F(1, 2),
-        AffineMap(F(1, 3), 1): F(1, 3),
-        AffineMap(-5, F(1, 2)): F(1, 6),
-    })
+def test_walker_draws_the_reference_atoms(atoms, seed):
+    mu = StepDistribution({AffineMap(a, b): w for a, b, w in atoms})
     rng = SplitMix64(seed)
     thresholds = cumulative_thresholds(mu.weights)
     walker = _Walker(_encode(mu), seed)
     n = 3 * LANES + 5
     got = [walker.step() for _ in range(n)]
     assert got == [pick_index(rng.next_u64(), thresholds) for _ in range(n)]
+    # and the state those atoms give, however the walker groups them
+    a, z = F(1), F(0)
+    for i in got:
+        g = mu.support[i]
+        a, z = a * g.a, z + a * g.b
+    assert (walker.a, walker.z) == (a, z)
+
+
+def test_a_draw_on_a_threshold_picks_the_cell_above():
+    # the first weight is the first draw of seed 0 over 2^64, so its threshold
+    # is that draw exactly; bisect_right puts the draw in the second cell
+    u = 0x6E789E6AA1B965F4
+    thresholds = cumulative_thresholds([F(u, 2**64), 1 - F(u, 2**64)])
+    assert thresholds == [u, 2**64]
+    assert [pick_index(v, thresholds) for v in (u - 1, u, u + 1)] == [0, 1, 1]
+    _, atoms = pick_lanes(0, lane_offsets(thresholds))
+    assert atoms[0] == 1
+    assert list(atoms) == [pick_index(v, thresholds) for v in next_u64_lanes(0)[1]]
+
+
+def test_the_packed_pick_stops_at_the_cutoff():
+    thresholds = cumulative_thresholds([F(1, PACKED_ATOMS + 1)] * (PACKED_ATOMS + 1))
+    assert lane_offsets(thresholds) is None
+    assert len(lane_offsets(thresholds[1:])) == PACKED_ATOMS - 1

@@ -284,6 +284,51 @@ class TestIntegerEngine:
         assert walker.count == n
         assert walker.exponents == [valuation(a, p) for p in walker.primes]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_slopes, _translations, st.integers(1, 5)), min_size=1, max_size=12
+        ),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 200),
+        st.dictionaries(
+            st.integers(1, 200), st.sampled_from(["a", "z", "exponents"]), max_size=10
+        ),
+    )
+    @example(_MIXED, 5, 150, {5: "z", 6: "exponents", 40: "a", 64: "z", 101: "z"})
+    @example([(F(2), F(0), 1)], 5, 100, {33: "a"})
+    def test_blocks_match_stepwise_application(self, atoms, seed, n, reads):
+        # the stepwise walker is read at every step, so each flush applies
+        # one step; the others are read on a random schedule, so their flushes
+        # apply whole blocks (1 to 12 atoms take blocks of 32, 8, 4 and 2
+        # steps).  On one seed, the first of them meets each block word for
+        # the first time and applies it step by step; the second meets the
+        # word again and applies its composite entry.
+        enc = _encode(_measure(atoms))
+        stepwise = _Walker(enc, seed)
+        blocked = [_Walker(enc, seed), _Walker(enc, seed)]
+        for k in range(1, n + 1):
+            i = stepwise.step()
+            now = {"a": stepwise.a, "z": stepwise.z, "exponents": stepwise.exponents}
+            for walker in blocked:
+                assert walker.step() == i
+                if k in reads:
+                    assert getattr(walker, reads[k]) == now[reads[k]]
+        for walker in blocked:
+            assert walker.count == n
+            assert walker._sync() == stepwise._sync()
+            assert walker.exponents == stepwise.exponents
+            assert (walker._n, walker._d, walker._floor) == (
+                stepwise._n, stepwise._d, stepwise._floor
+            )
+
+    def test_block_length_fits_the_table(self):
+        lengths = {
+            m: _encode(_measure([(F(2), F(i), 1) for i in range(m)])).block
+            for m in (1, 2, 3, 4, 9, 10, 90, 91)
+        }
+        assert lengths == {1: 32, 2: 8, 3: 8, 4: 4, 9: 4, 10: 2, 90: 2, 91: 1}
+
     def test_primes_cover_every_slope(self):
         enc = _encode(_measure(_MIXED))
         assert enc.primes == (2, 3, 5, 7)
