@@ -2,9 +2,9 @@
 
 A "place" is either a finite prime p (with the p-adic norm |q|_p = p^(-v_p(q)))
 or the infinite place carrying the usual absolute value.  Everything here works
-on exact `fractions.Fraction` values; only the logarithmic norms and heights
-are returned as 64-bit floats, with the underlying integer valuations exposed
-exactly.
+on exact rationals, read as the numerator and denominator of their canonical
+`fractions.Fraction` form; only the logarithmic norms and heights are returned
+as 64-bit floats, with the underlying integer valuations exposed exactly.
 """
 
 from __future__ import annotations
@@ -96,20 +96,38 @@ def _int_valuation(n: int, p: int) -> int:
         v += 1
 
 
+def _terms(q) -> tuple[int, int]:
+    """(numerator, denominator) of q's canonical fraction.
+
+    An exact ``int`` or ``Fraction`` is read directly; anything else (bool,
+    int subclasses, floats, strings, other rationals) goes through
+    ``Fraction(q)``, so every input is accepted or rejected as ``Fraction``
+    would.
+    """
+    kind = type(q)
+    if kind is int:
+        return q, 1
+    if kind is not Fraction:
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
+def _terms_valuation(num: int, den: int, p: int) -> int:
+    """v_p(num/den) for coprime num != 0 and den > 0: v_p(num) - v_p(den)."""
+    # coprime, so at most one of num/den is divisible by p
+    return _int_valuation(num, p) or -_int_valuation(den, p)
+
+
 def valuation(q: RationalLike, p: int) -> int | float:
     """p-adic valuation of a rational, v_p(r/s) = v_p(r) - v_p(s).
 
     Returns the ``INFINITE_VALUATION`` sentinel at q = 0.
     """
     p = _require_finite_prime(p)
-    q = Fraction(q)
-    if q == 0:
+    num, den = _terms(q)
+    if num == 0:
         return INFINITE_VALUATION
-    # the fraction is canonical, so at most one of num/den is divisible by p
-    v = _int_valuation(q.numerator, p)
-    if v:
-        return v
-    return -_int_valuation(q.denominator, p)
+    return _terms_valuation(num, den, p)
 
 
 def log_norm(q: RationalLike, place: Place) -> float:
@@ -117,25 +135,25 @@ def log_norm(q: RationalLike, place: Place) -> float:
 
     Rejects q = 0, where the logarithm is undefined.
     """
-    q = Fraction(q)
-    if q == 0:
+    num, den = _terms(q)
+    if num == 0:
         raise ValueError("log_norm undefined at 0")
     if place == INFINITE_PLACE:
-        return math.log(abs(q.numerator)) - math.log(q.denominator)
+        return math.log(abs(num)) - math.log(den)
     p = _require_finite_prime(place)
-    return -valuation(q, p) * math.log(p)
+    return -_terms_valuation(num, den, p) * math.log(p)
 
 
 def log_norm_plus(q: RationalLike, place: Place) -> float:
     """ln+|q|_p = max(ln|q|_p, 0), extended by 0 at q = 0."""
-    q = Fraction(q)
-    if q == 0:
+    num, den = _terms(q)
+    if num == 0:
         return 0.0
     if place == INFINITE_PLACE:
-        n, d = abs(q.numerator), q.denominator
-        return math.log(n) - math.log(d) if n > d else 0.0
+        num = abs(num)
+        return math.log(num) - math.log(den) if num > den else 0.0
     p = _require_finite_prime(place)
-    v = valuation(q, p)
+    v = _terms_valuation(num, den, p)
     return -v * math.log(p) if v < 0 else 0.0
 
 
@@ -144,10 +162,10 @@ def height(q: RationalLike) -> float:
 
     Computed from the canonical fraction r/s, never by factoring.  Rejects 0.
     """
-    q = Fraction(q)
-    if q == 0:
+    num, den = _terms(q)
+    if num == 0:
         raise ValueError("height undefined at 0")
-    return math.log(abs(q.numerator)) + math.log(q.denominator)
+    return math.log(abs(num)) + math.log(den)
 
 
 def height_plus(q: RationalLike) -> float:
@@ -155,10 +173,10 @@ def height_plus(q: RationalLike) -> float:
 
     Defined everywhere; 0 at q = 0.
     """
-    q = Fraction(q)
-    if q == 0:
+    num, den = _terms(q)
+    if num == 0:
         return 0.0
-    return math.log(max(abs(q.numerator), q.denominator))
+    return math.log(max(abs(num), den))
 
 
 def _rho_factor(n: int) -> int:

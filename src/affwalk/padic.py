@@ -1,17 +1,19 @@
 """Truncated p-adic digit expansions of rationals and ball bucketing.
 
 An expansion stores the valuation (start exponent) and N base-p digits of the
-unit part, so the represented value is known modulo p^(start+N).  All
-arithmetic stays on exact rationals; expansions are read-only views used for
-boundary points and for histogramming empirical measures on Q_p.
+unit part, so the represented value is known modulo p^(start+N).  Both the
+expansion and the ball key work on the integers of the canonical fraction
+r/s: v = v_p(r) or -v_p(s), one exact floor division strips p^|v| from r or s,
+and the unit's residue is r * s^(-1) modulo a power of p.  Expansions are
+read-only views used for boundary points and for histogramming empirical
+measures on Q_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import valuation, _require_finite_prime
+from .exact import _require_finite_prime, _terms, _terms_valuation
 
 __all__ = ["PadicExpansion", "expand", "ball_key_exact"]
 
@@ -44,6 +46,20 @@ class PadicExpansion:
         return f"{body} (base {self.p}), start={self.start_exponent}"
 
 
+def _unit_residue(num: int, den: int, p: int, v: int, k: int) -> int:
+    """The unit part of num/den = p^v * unit, modulo p^k.
+
+    num/den is canonical and v = v_p(num/den); p^|v| divides num (v > 0) or
+    den (v < 0) exactly, and the unit is read off as num * den^(-1).
+    """
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    modulus = p**k
+    return num * pow(den, -1, modulus) % modulus
+
+
 def expand(q, p: int, n_digits: int) -> PadicExpansion:
     """First ``n_digits`` base-p digits of q, starting at its valuation.
 
@@ -54,13 +70,11 @@ def expand(q, p: int, n_digits: int) -> PadicExpansion:
     p = _require_finite_prime(p)
     if n_digits < 1:
         raise ValueError("precision must be at least 1")
-    q = Fraction(q)
-    if q == 0:
+    num, den = _terms(q)
+    if num == 0:
         return PadicExpansion(p, 0, (0,) * n_digits)
-    v = valuation(q, p)
-    unit = q / Fraction(p) ** v
-    modulus = p**n_digits
-    residue = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
+    v = _terms_valuation(num, den, p)
+    residue = _unit_residue(num, den, p, v, n_digits)
     digits = []
     for _ in range(n_digits):
         residue, d = divmod(residue, p)
@@ -76,13 +90,10 @@ def ball_key_exact(q, p: int, radius_exponent: int) -> tuple:
     modulo p^(radius - v), or (p, radius, radius, 0) for the ball around 0.
     """
     p = _require_finite_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return (p, radius_exponent, radius_exponent, 0)
-    v = valuation(q, p)
-    if v >= radius_exponent:
-        return (p, radius_exponent, radius_exponent, 0)
-    unit = q / Fraction(p) ** v
-    modulus = p ** (radius_exponent - v)
-    residue = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
-    return (p, radius_exponent, v, residue)
+    num, den = _terms(q)
+    if num:
+        v = _terms_valuation(num, den, p)
+        if v < radius_exponent:
+            residue = _unit_residue(num, den, p, v, radius_exponent - v)
+            return (p, radius_exponent, v, residue)
+    return (p, radius_exponent, radius_exponent, 0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -69,7 +70,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _Encoding:
-    """Integer form of a step law's atoms, built once per run.
+    """Integer form of a step law's atoms, built once per law and process.
 
     ``offsets`` is the law's packed-pick rule (see ``lane_offsets``).
     ``primes`` are the primes dividing some atom's linear part.  ``steps[i]``
@@ -124,8 +125,13 @@ class _Encoding:
         return entry
 
 
+@lru_cache(maxsize=16)
 def _encode(mu: StepDistribution) -> _Encoding:
-    """Factor every atom's coefficients once; see ``_Encoding``."""
+    """Factor every atom's coefficients; see ``_Encoding``.
+
+    Cached per law, so the walks of one law in a process share one encoding
+    and one warm block table.
+    """
     atoms = mu.support
     factors = [
         (prime_factors(g.a.numerator), prime_factors(g.a.denominator)) for g in atoms

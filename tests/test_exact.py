@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from affwalk import (
     INFINITE_PLACE,
+    ball_key_exact,
+    expand,
     format_place,
     format_rational,
     height,
@@ -181,3 +183,54 @@ class TestParsing:
         assert parse_place("infinity") == INFINITE_PLACE
         with pytest.raises(ValueError):
             parse_place("4")
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "q",
+    [12, -40, True, False, _Int(-20), 0.375, -2.5, 0.0, "3/8", "-7/12", Fraction(9, 4)],
+    ids=repr,
+)
+def test_inputs_read_as_their_fraction(q):
+    """Every rational reader gives the same results for q as for Fraction(q)."""
+    f = Fraction(q)
+    for p in (2, 3):
+        assert valuation(q, p) == valuation(f, p)
+        assert ball_key_exact(q, p, 5) == ball_key_exact(f, p, 5)
+        assert expand(q, p, 8) == expand(f, p, 8)
+        for place in (p, INFINITE_PLACE):
+            assert log_norm_plus(q, place) == log_norm_plus(f, place)
+            if f:
+                assert log_norm(q, place) == log_norm(f, place)
+            else:
+                with pytest.raises(ValueError):
+                    log_norm(q, place)
+    assert height_plus(q) == height_plus(f)
+    if f:
+        assert height(q) == height(f)
+    else:
+        with pytest.raises(ValueError):
+            height(q)
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", math.nan, math.inf, None, 1j], ids=repr)
+def test_inputs_rejected_as_by_fraction(bad):
+    """An input Fraction() rejects raises the same exception type in every reader."""
+    with pytest.raises(Exception) as rejected:
+        Fraction(bad)
+    error = type(rejected.value)
+    readers = [
+        lambda: valuation(bad, 2),
+        lambda: ball_key_exact(bad, 2, 5),
+        lambda: expand(bad, 2, 8),
+        lambda: log_norm(bad, 2),
+        lambda: log_norm_plus(bad, INFINITE_PLACE),
+        lambda: height(bad),
+        lambda: height_plus(bad),
+    ]
+    for read in readers:
+        with pytest.raises(error):
+            read()

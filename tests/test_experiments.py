@@ -278,6 +278,23 @@ class TestPinnedReports:
             "ba78979cc270bc7cc94dd91ae80997dd734c1c6c3e697015bba45138a9f10220"
         )
 
+    def test_stationarity_3adic_bytes(self):
+        # odd-prime ball keys whose residues pass 2^53
+        mu = StepDistribution({AffineMap(3, 0): F(3, 4), AffineMap(F(1, 3), 1): F(1, 4)})
+        rep = run_stationarity(mu, 3, radius_exponent=30, n=20, samples=20, seed=1)
+        assert _sha256(render_csv(rep)) == (
+            "fcd1ab678c01abd56e8021afc0a4ece725bfce950c65e24bf7c350f6fb6a355c"
+        )
+
+    def test_boundary_3adic_bytes(self):
+        # the locked value is 22236399690088711/3: an expansion starting at v = -1
+        mu = StepDistribution({AffineMap(3, 0): F(3, 4), AffineMap(F(1, 3), 1): F(1, 4)})
+        rep = run_boundary(mu, 3, digits=16, seed=5)
+        assert rep.summary["digits"].endswith("start=-1")
+        assert _sha256(render_csv(rep)) == (
+            "ef9e9f057e30b675a024749cfc3d0e40e48d223fcb9df17f4bbbc264bcd607a4"
+        )
+
     def test_prop44_finite_bytes(self, mu_rev):
         rep = run_prop44(mu_rev, [2], n_grid=[125, 250], samples=30)
         assert _sha256(render_csv(rep)) == (

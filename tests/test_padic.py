@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affwalk import PadicExpansion, ball_key_exact, expand, log_norm, valuation
@@ -35,6 +35,91 @@ def _ball_key(e: PadicExpansion, radius_exponent: int) -> tuple:
     for d in reversed(e.digits[:needed]):
         residue = residue * p + d
     return (p, radius_exponent, v, residue)
+
+
+def _valuation_reference(q: Fraction, p: int) -> int:
+    """v_p(q) of a nonzero q by repeated Fraction division."""
+    v = 0
+    while q.numerator % p == 0:
+        q /= p
+        v += 1
+    while q.denominator % p == 0:
+        q *= p
+        v -= 1
+    return v
+
+
+def _unit_residue_reference(q: Fraction, p: int, v: int, k: int) -> int:
+    """(q / p^v) modulo p^k, the unit part divided out as a Fraction."""
+    unit = q / Fraction(p) ** v
+    modulus = p**k
+    return unit.numerator * pow(unit.denominator, -1, modulus) % modulus
+
+
+def _expand_reference(q: Fraction, p: int, n_digits: int) -> PadicExpansion:
+    """Reference for expand, on Fraction division."""
+    if q == 0:
+        return PadicExpansion(p, 0, (0,) * n_digits)
+    v = _valuation_reference(q, p)
+    residue = _unit_residue_reference(q, p, v, n_digits)
+    digits = []
+    for _ in range(n_digits):
+        residue, d = divmod(residue, p)
+        digits.append(d)
+    return PadicExpansion(p, v, tuple(digits))
+
+
+def _ball_key_exact_reference(q: Fraction, p: int, radius_exponent: int) -> tuple:
+    """Reference for ball_key_exact, on Fraction division."""
+    if q == 0:
+        return (p, radius_exponent, radius_exponent, 0)
+    v = _valuation_reference(q, p)
+    if v >= radius_exponent:
+        return (p, radius_exponent, radius_exponent, 0)
+    return (p, radius_exponent, v, _unit_residue_reference(q, p, v, radius_exponent - v))
+
+
+# tail points of the tracking workload reach about 3.9 kbit
+_BIG = 2**4096
+_numerators = st.integers(-_BIG, _BIG) | st.integers(-1000, 1000)
+_denominators = st.integers(1, _BIG) | st.integers(1, 1000)
+
+
+class TestIntegerKernels:
+    """ball_key_exact and expand equal their Fraction-division references."""
+
+    @settings(deadline=None)
+    @given(
+        _numerators,
+        _denominators,
+        primes,
+        st.integers(-70, 70),
+        st.integers(-3, 60),
+    )
+    @example(0, 1, 3, 0, 5)  # zero
+    @example(-7, 1, 5, 0, 0)  # negative unit
+    @example(5, 3, 3, 40, 4)  # v >= radius
+    @example(7, 1, 13, -5, 2)  # v < 0: p divides the denominator
+    @example(-(3**2500) - 1, 2**4000 * 5, 2, -3, 60)  # large operands
+    def test_ball_key_matches_reference(self, num, den, p, shift, radius):
+        q = Fraction(num, den) * Fraction(p) ** shift
+        assert ball_key_exact(q, p, radius) == _ball_key_exact_reference(q, p, radius)
+
+    @settings(deadline=None)
+    @given(
+        _numerators,
+        _denominators,
+        primes,
+        st.integers(-70, 70),
+        st.integers(1, 60),
+    )
+    @example(0, 1, 3, 0, 5)
+    @example(-7, 1, 5, 0, 8)
+    @example(7, 1, 13, -5, 2)
+    @example(-(3**2500) - 1, 2**4000 * 5, 2, -3, 60)
+    def test_expand_matches_reference(self, num, den, p, shift, n_digits):
+        q = Fraction(num, den) * Fraction(p) ** shift
+        assert expand(q, p, n_digits) == _expand_reference(q, p, n_digits)
 
 
 class TestExpand:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from fractions import Fraction
 from functools import reduce
@@ -24,6 +25,7 @@ from affwalk import (
     sample_path,
     valuation,
 )
+from affwalk import walk
 from affwalk.measure import validate
 from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index
 from affwalk.walk import _encode, _Walker
@@ -304,6 +306,7 @@ class TestIntegerEngine:
         # steps).  On one seed, the first of them meets each block word for
         # the first time and applies it step by step; the second meets the
         # word again and applies its composite entry.
+        _encode.cache_clear()  # start from an empty block table
         enc = _encode(_measure(atoms))
         stepwise = _Walker(enc, seed)
         blocked = [_Walker(enc, seed), _Walker(enc, seed)]
@@ -328,6 +331,37 @@ class TestIntegerEngine:
             for m in (1, 2, 3, 4, 9, 10, 90, 91)
         }
         assert lengths == {1: 32, 2: 8, 3: 8, 4: 4, 9: 4, 10: 2, 90: 2, 91: 1}
+
+    def test_encoding_is_built_once_per_law(self, mu_rev, monkeypatch):
+        cold = []
+        for seed in range(20):
+            _encode.cache_clear()
+            cold.append(boundary_digits(mu_rev, 2, 16, seed))
+        factored = []
+        factor = walk.prime_factors
+
+        def counted(n):
+            factored.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(walk, "prime_factors", counted)
+        _encode.cache_clear()
+        warm = [boundary_digits(mu_rev, 2, 16, seed) for seed in range(20)]
+        # one numerator and one denominator per atom, factored on the first call
+        assert len(factored) == 2 * len(mu_rev.support)
+        assert warm == cold
+
+    def test_pickled_encoding_has_an_empty_block_table(self, mu_rev):
+        enc = _encode(mu_rev)
+        for _ in range(2):
+            walker = _Walker(enc, 7)
+            for _ in range(256):
+                walker.step()
+        assert any(entry is not None for entry in enc.blocks.values())
+        copy = pickle.loads(pickle.dumps(enc))
+        assert copy.blocks == {}
+        assert copy == enc
+        assert _encode(mu_rev) is enc
 
     def test_primes_cover_every_slope(self):
         enc = _encode(_measure(_MIXED))
