@@ -9,10 +9,10 @@ range check is the runner's own.
 
 Exit codes: 0 pass, 1 bound-check fail, 2 config error (including
 non-numeric, non-finite and, where an integer is required, non-integral
-values, and a worker count below 1), 3 resource budget exceeded (including
-walks that fail to stabilize within their step cap, an entropy table
-truncated before its second step, and an infinite-drift sign undecided
-within its digit budget).
+values, a worker count below 1 and an entropy cell budget below 1), 3
+resource budget exceeded (including walks that fail to stabilize within
+their step cap, an entropy table truncated before its second step, and an
+infinite-drift sign undecided within its digit budget).
 """
 
 from __future__ import annotations

@@ -591,7 +591,7 @@ def run_entropy(
     rows = []
     entropies = [0.0]
     truncated_at: Optional[int] = None
-    table = power(mu, 0, cell_budget)
+    table = power(mu, 0, cell_budget)  # raises ValueError for a budget below 1
     step = power(mu, 1)
     for n in range(1, n_max + 1):
         try:

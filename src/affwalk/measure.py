@@ -3,17 +3,21 @@
 Exact rational weights throughout: drifts are stored as the exact mean
 valuation per prime so sign tests (which prime contracts) never go through
 floats, and entropy is the only place a float appears.  With weights e_i / L
-the n-step law is integer counts over L^n, so a convolution table holds an
-integer count per reduced int key (a_num, a_den, b_num, b_den) and one
-integer total, with no AffineMap or Fraction per cell.
+the n-step law is integer counts over L^n.  A convolution table groups its
+maps by reduced linear part (a_num, a_den); each group holds one denominator
+D and, per translation b = x / D, the integer x and its count.  Convolving
+two tables takes one gcd per pair of groups and integer arithmetic per cell,
+with no AffineMap, Fraction or gcd per cell.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Mapping
 
 from .errors import BudgetError, ConfigError
@@ -269,30 +273,46 @@ def reflect(mu: StepDistribution) -> StepDistribution:
 class ConvolutionTable:
     """Exact law of the n-step product, as integer counts over ``total``.
 
-    ``counts`` maps the reduced key (a_num, a_den, b_num, b_den) of the map
-    x -> a*x + b to its count; its probability is count / total.
+    ``groups`` maps each reduced linear part (a_num, a_den) to (D, counts):
+    one denominator D for the whole group, and ``counts`` maps the integer
+    x = b * D of each map x -> a*x + b in the group to its count.  D fixes
+    b = x / D one to one; it is a common denominator, not always the least.
+    A map's probability is count / total.
     """
 
-    counts: dict[tuple[int, int, int, int], int]
+    groups: dict[tuple[int, int], tuple[int, dict[int, int]]]
     total: int
     n: int
 
     def as_dict(self) -> dict[AffineMap, Fraction]:
         return {
-            AffineMap(Fraction(an, ad), Fraction(bn, bd)): Fraction(c, self.total)
-            for (an, ad, bn, bd), c in self.counts.items()
+            AffineMap(Fraction(an, ad), Fraction(x, den)): Fraction(c, self.total)
+            for (an, ad), (den, counts) in self.groups.items()
+            for x, c in counts.items()
         }
 
     @property
     def support_size(self) -> int:
-        return len(self.counts)
+        return sum(len(counts) for _, counts in self.groups.values())
+
+
+def _check_budget(cell_budget: int) -> None:
+    if cell_budget < 1:
+        raise ValueError("cell_budget must be at least 1")
 
 
 def _step_table(mu: StepDistribution) -> ConvolutionTable:
     """The one-step law as counts over the lcm of the weight denominators."""
     total = math.lcm(*(w.denominator for w in mu.weights))
-    counts = {g.sort_key(): w.numerator * (total // w.denominator) for g, w in mu.atoms}
-    return ConvolutionTable(counts, total, 1)
+    by_a: dict[tuple[int, int], list[tuple[Fraction, int]]] = {}
+    for g, w in mu.atoms:
+        key = (g.a.numerator, g.a.denominator)
+        by_a.setdefault(key, []).append((g.b, w.numerator * (total // w.denominator)))
+    groups = {}
+    for key, entries in by_a.items():
+        den = math.lcm(*(b.denominator for b, _ in entries))
+        groups[key] = (den, {b.numerator * (den // b.denominator): c for b, c in entries})
+    return ConvolutionTable(groups, total, 1)
 
 
 def convolve(
@@ -302,29 +322,40 @@ def convolve(
 ) -> ConvolutionTable:
     """Law of the product of independent draws from t1 then t2.
 
-    The product g1 o g2 has a = a1*a2 and b = a1*b2 + b1, each reduced by
-    one gcd; its count is c1*c2.
+    The product g1 o g2 has a = a1*a2 and b = a1*b2 + b1.  Per pair of
+    groups, a1*a2 is reduced by one gcd and b is exact over
+    L = lcm(D1, a_den1 * D2); the pairs that land on one a share the lcm D of
+    their L values.  A cell is then b * D = x1 * (D / D1) + y2 * a_num1 *
+    (D / (a_den1 * D2)) with count c1*c2: integer arithmetic only.
     """
+    _check_budget(cell_budget)
     cells = t1.support_size * t2.support_size
     if cells > cell_budget:
         raise BudgetError(
             f"convolution needs {cells} cells, budget is {cell_budget}",
             reached=cells,
         )
-    gcd = math.gcd
-    out: dict[tuple[int, int, int, int], int] = {}
-    get = out.get
-    right = list(t2.counts.items())
-    for (an1, ad1, bn1, bd1), c1 in t1.counts.items():
-        for (an2, ad2, bn2, bd2), c2 in right:
-            an = an1 * an2
-            ad = ad1 * ad2
+    gcd, lcm = math.gcd, math.lcm
+    pairs = []
+    dens: dict[tuple[int, int], int] = {}
+    for (an1, ad1), (d1, xs) in t1.groups.items():
+        for (an2, ad2), (d2, ys) in t2.groups.items():
+            an, ad = an1 * an2, ad1 * ad2
             g = gcd(an, ad)
-            bn = an1 * bn2 * bd1 + bn1 * ad1 * bd2
-            bd = ad1 * bd2 * bd1
-            h = gcd(bn, bd)
-            key = (an // g, ad // g, bn // h, bd // h)
-            out[key] = get(key, 0) + c1 * c2
+            key = (an // g, ad // g)
+            dens[key] = lcm(dens.get(key, 1), d1, ad1 * d2)
+            pairs.append((key, xs, d1, ys, an1, ad1 * d2))
+    out = {key: (den, {}) for key, den in dens.items()}
+    for key, xs, d1, ys, an1, ad1_d2 in pairs:
+        den, counts = out[key]
+        get = counts.get
+        m1 = den // d1
+        m2 = an1 * (den // ad1_d2)
+        for y, c2 in ys.items():
+            shift = y * m2
+            for x, c1 in xs.items():
+                k = x * m1 + shift
+                counts[k] = get(k, 0) + c1 * c2
     return ConvolutionTable(out, t1.total * t2.total, t1.n + t2.n)
 
 
@@ -334,7 +365,8 @@ def power(
     """Exact law of the n-step walk increment product."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = ConvolutionTable({(1, 1, 0, 1): 1}, 1, 0)
+    _check_budget(cell_budget)
+    acc = ConvolutionTable({(1, 1): (1, {0: 1})}, 1, 0)
     step = _step_table(mu)
     for _ in range(n):
         acc = convolve(acc, step, cell_budget)
@@ -345,10 +377,21 @@ def entropy(t: ConvolutionTable) -> float:
     """Shannon entropy -sum p ln p of the exact table, in nats.
 
     c / total is the correctly rounded float of the probability, as
-    float(Fraction(c, total)) is, so H_n does not depend on the table's form.
+    float(Fraction(c, total)) is.  Maps with equal counts share one term,
+    repeated once per map; fsum is correctly rounded, so H_n depends on
+    neither the order of its terms nor the table's form.
     """
     total = t.total
-    return -math.fsum((c / total) * math.log(c / total) for c in t.counts.values() if c != total)
+    multiplicity: Counter[int] = Counter()
+    for _, counts in t.groups.values():
+        multiplicity.update(counts.values())
+    return -math.fsum(
+        chain.from_iterable(
+            repeat((c / total) * math.log(c / total), m)
+            for c, m in multiplicity.items()
+            if c != total
+        )
+    )
 
 
 def parse_measure_config(block: Mapping) -> StepDistribution:

@@ -5,13 +5,16 @@
 metric read null, which only the slower ``python -m pytest bench`` notices.
 This installs every span on a fresh tracer, without running a workload.
 The benchmark also pins how many times the ``walk.step`` span fires: once
-per walk step, which a batching change to the walker must keep.
+per walk step, which a batching change to the walker must keep, and the
+cells and final support its ``measure.convolve`` span reads on ``entropy``.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import affwalk.cli
 import affwalk.experiments
 import affwalk.walk
 from affwalk.walk import _Walker
@@ -61,3 +64,25 @@ def test_prop44_calls_step_once_per_walk_step(monkeypatch, mu_rev):
     n_stab = report.summary["n_stab"]
     assert n_stab == 2 * 25
     assert calls == 3 * (n_stab + 8)
+
+
+def test_entropy_cells_and_support_match_bench_pins(monkeypatch, capsys):
+    # measure.cells sums t1.support_size * t2.support_size over the
+    # experiments.convolve calls; measure.final_support is the last table's
+    entropy = _load_passes().WORKLOADS["entropy"]
+    quick = entropy.size("quick")
+    convolve = affwalk.experiments.convolve
+    cells = 0
+    last = None
+
+    def counted(t1, t2, *args, **kwargs):
+        nonlocal cells, last
+        cells += t1.support_size * t2.support_size
+        last = convolve(t1, t2, *args, **kwargs)
+        return last
+
+    monkeypatch.setattr(affwalk.experiments, "convolve", counted)
+    argv = ["--config", str(entropy.config_path()), "entropy", "--n-max", str(quick.param)]
+    assert affwalk.cli.main(argv) == 0
+    assert (cells, last.support_size) == (quick.work, quick.support) == (3_282, 1_019)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == quick.sha256

@@ -97,6 +97,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_entropy_budget_below_one(self, bias_config, capsys, budget):
+        code = main(["--config", bias_config, "entropy", "--cell-budget", budget])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: cell_budget must be at least 1"]
+
     def test_stabilization_cap(self, tmp_path):
         cfg = tmp_path / "cap.json"
         blob = dict(REV)

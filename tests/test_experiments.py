@@ -331,6 +331,24 @@ class TestPinnedReports:
             "9.248876818577681",
         ]
 
+    def test_entropy_bias_bytes(self, mu_bias):
+        rep = run_entropy(mu_bias, n_max=14)
+        assert _sha256(render_csv(rep)) == (
+            "b0532dc5cae5a79e5ddf2b0855397bb87f28c9933a805650fda6fa752ffaf53d"
+        )
+
+    def test_entropy_three_atom_bytes(self):
+        # the prop44 joint law: linear parts 2/3 and 4/5, denominators 3, 5 and 7
+        mu = StepDistribution({
+            AffineMap(F(2, 3), 1): F(1, 2),
+            AffineMap(F(4, 5), 0): F(1, 4),
+            AffineMap(F(4, 5), F(1, 7)): F(1, 4),
+        })
+        rep = run_entropy(mu, n_max=9)
+        assert _sha256(render_csv(rep)) == (
+            "19cd3aeaf8abc9ff5c8806e9c8ed006abfad278c95a0f07f7cb7afc5eb3ec9df"
+        )
+
 
 class _InlinePool:
     """Stand-in for ProcessPoolExecutor: records the pool size, runs inline."""

@@ -246,6 +246,10 @@ def _reference_entropy(probs):
 # negative, unit and fractional linear parts; zero and fractional shifts
 _LINEAR = st.sampled_from([F(2), F(1, 2), F(-2), F(-1, 3), F(3), F(2, 3), F(-1), F(1), F(5, 4)])
 _SHIFTS = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(2, 7), F(5)])
+# a = 1 and negative linear parts; shift denominators 2, 3 and 7, so pairs of
+# groups that land on one linear part meet over different denominators
+_LINEAR_MIXED = st.sampled_from([F(1), F(-2), F(1, 2), F(-1, 3), F(3)])
+_SHIFTS_MIXED = st.sampled_from([F(1, 2), F(-1, 3), F(2, 7), F(-5, 7), F(0), F(1)])
 
 
 class TestConvolution:
@@ -276,6 +280,39 @@ class TestConvolution:
     def test_budget_guard(self, mu_sym):
         with pytest.raises(BudgetError):
             power(mu_sym, 8, cell_budget=10)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, mu_sym, budget):
+        step = power(mu_sym, 1)
+        with pytest.raises(ValueError, match="cell_budget"):
+            convolve(step, step, budget)
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="cell_budget"):
+                power(mu_sym, n, budget)
+
+    @given(
+        st.lists(
+            st.tuples(_LINEAR_MIXED, _SHIFTS_MIXED, st.integers(1, 9)), min_size=2, max_size=3
+        ),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    # x + 1/2 times x/2 + 2/7 and x/2 + 2/7 times x + 1/2 both land on a = 1/2,
+    # over lcm(2, 1 * 7) = 14 and lcm(7, 2 * 2) = 28; at 3 and 2 steps, four
+    # pairs land on a = 1/2 over four different lcms
+    @example([(F(1), F(1, 2), 1), (F(1, 2), F(2, 7), 1), (F(-2), F(1, 3), 1)], 1, 1)
+    @example([(F(1), F(1, 2), 1), (F(1, 2), F(2, 7), 1), (F(-2), F(1, 3), 1)], 3, 2)
+    def test_convolve_multi_entry_tables(self, atoms, i, j):
+        total = sum(w for _, _, w in atoms)
+        mu = StepDistribution([((a, b), F(w, total)) for a, b, w in atoms])
+        left, right = power(mu, i), power(mu, j)
+        got, want = convolve(left, right), power(mu, i + j)
+        assert got.as_dict() == want.as_dict()
+        assert got.as_dict() == _reference_convolve(left.as_dict(), right.as_dict())
+        assert got.support_size == want.support_size
+        assert entropy(got) == entropy(want)
+        assert (got.total, got.n) == (want.total, want.n)
 
     @given(
         st.lists(
