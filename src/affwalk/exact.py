@@ -40,6 +40,37 @@ INFINITE_VALUATION = math.inf
 Place = Union[int, float]
 RationalLike = Union[Fraction, int]
 
+
+class _Value:
+    """Base of the read-only value classes, which name their fields in ``__slots__``.
+
+    A value equals only a value of its own class with equal fields, hashes as
+    its field tuple, and is set up in ``__init__`` by ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BudgetError
+from .errors import BudgetError, StabilizationError
 from .exact import (
     INFINITE_PLACE,
     Place,
@@ -77,26 +76,15 @@ DEFAULT_FINAL_BOUND_LLN41 = 0.05 * math.log(2)
 SEED_RULE = "seed_i = seed XOR mix64(i)"
 
 
-@dataclass(frozen=True)
-class Row:
-    experiment: str
-    p: str
-    n: int
-    seed: int
-    statistic: str
-    value: float
+Row = namedtuple("Row", "experiment p n seed statistic value")
 
 
-@dataclass
-class Report:
+class Report(
+    namedtuple("Report", "name config rows summary passed notes", defaults=(None, ()))
+):
     """One experiment's resolved config, raw rows, and summary verdict."""
 
-    name: str
-    config: dict
-    rows: list[Row]
-    summary: dict
-    passed: Optional[bool] = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ()
 
 
 def _dumps(obj) -> str:
@@ -127,7 +115,7 @@ def render_json(report: Report) -> str:
         "summary": report.summary,
         "notes": report.notes,
         "passed": report.passed,
-        "rows": [asdict(r) for r in report.rows],
+        "rows": [r._asdict() for r in report.rows],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -606,8 +594,10 @@ def run_entropy(
         rows.append(Row("entropy", "", n, 0, "H_increment", h - entropies[n - 1]))
     computed = len(entropies) - 1
     summary: dict = {"n_max": n_max, "computed_to": computed}
+    notes = ()
     if truncated_at is not None:
         summary["truncated_at"] = truncated_at
+        notes = (f"support budget {cell_budget} exceeded at n={truncated_at}; table truncated",)
     if computed >= 1:
         summary["h_estimate"] = entropies[-1] - entropies[-2] if computed >= 2 else entropies[-1]
         summary["final_rate"] = entropies[-1] / computed
@@ -616,11 +606,6 @@ def run_entropy(
         summary["trending_to_zero"] = ratio < 0.75
         half = [(n, entropies[n] / n) for n in range(max(1, computed // 2), computed + 1)]
         summary["rate_slope_last_half"] = _ols_slope(half)
-    notes = []
-    if truncated_at is not None:
-        notes.append(
-            f"support budget {cell_budget} exceeded at n={truncated_at}; table truncated"
-        )
     return Report(
         name="entropy",
         config={"measure": measure_config(mu), "n_max": n_max, "cell_budget": cell_budget},
@@ -693,6 +678,10 @@ def run_stationarity(
     profile = drift_profile(mu)
     if profile.exact().get(p, Fraction(0)) <= 0:
         raise ValueError(f"prime {p} does not contract")
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    if n + margin > DEFAULT_STEP_CAP:  # a lock holds for margin steps past the prefix
+        raise StabilizationError(f"no lock within {DEFAULT_STEP_CAP} steps", steps=DEFAULT_STEP_CAP)
     replica = partial(
         _stationarity_replica,
         encoding=_encode(mu),

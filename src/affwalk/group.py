@@ -10,12 +10,11 @@ sublevel sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .exact import format_rational, height, height_plus
+from .exact import _Value, format_rational, height, height_plus
 
 __all__ = [
     "AffineMap",
@@ -40,12 +39,10 @@ BOUNDARY_TOL = 1e-12
 GAUGE_K_MAX = 5.0
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Group element x -> a*x + b with a != 0."""
+class AffineMap(_Value):
+    """Group element x -> a*x + b with a != 0: a read-only value (a, b) of Fractions."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         a = Fraction(a)

@@ -13,8 +13,7 @@ with no AffineMap, Fraction or gcd per cell.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, repeat
@@ -24,6 +23,7 @@ from .errors import BudgetError, ConfigError
 from .exact import (
     INFINITE_PLACE,
     Place,
+    _Value,
     format_rational,
     parse_rational,
     support_primes,
@@ -57,15 +57,14 @@ DEFAULT_CELL_BUDGET = 10**7
 _SIGN_DIGITS = 1024
 
 
-@dataclass(frozen=True)
-class StepDistribution:
+class StepDistribution(_Value):
     """Probability measure with finitely many affine-map atoms.
 
-    Atoms are canonicalized (duplicates merged, sorted) at construction;
-    weights must be positive rationals summing to exactly 1.
+    Its (AffineMap, Fraction) atoms are canonicalized (duplicates merged,
+    sorted) at construction; weights must be positive rationals summing to exactly 1.
     """
 
-    atoms: tuple[tuple[AffineMap, Fraction], ...]
+    __slots__ = ("atoms",)
 
     def __init__(self, atoms):
         if isinstance(atoms, Mapping):
@@ -95,13 +94,12 @@ class StepDistribution:
         return tuple(w for _, w in self.atoms)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(
+    namedtuple("MeasureReport", "degenerate reason fixed_point", defaults=(None, None))
+):
     """Degeneracy verdict for a step distribution."""
 
-    degenerate: bool
-    reason: str | None = None
-    fixed_point: Fraction | None = None
+    __slots__ = ()
 
 
 def validate(mu: StepDistribution) -> MeasureReport:
@@ -146,8 +144,9 @@ def drift(mu: StepDistribution, place: Place) -> float:
     return -_vp_mean(mu, place) * math.log(place)
 
 
-@dataclass(frozen=True)
-class DriftProfile:
+class DriftProfile(
+    namedtuple("DriftProfile", "finite_drifts infinite_drift vp_means infinite_sign")
+):
     """All nonzero drifts of a step law, with their exact rational cores.
 
     ``vp_means`` maps each prime p dividing some atom's linear part to the
@@ -156,10 +155,7 @@ class DriftProfile:
     available exactly via ``infinite_sign``.
     """
 
-    finite_drifts: tuple[tuple[int, float], ...]
-    infinite_drift: float
-    vp_means: tuple[tuple[int, Fraction], ...]
-    infinite_sign: int
+    __slots__ = ()
 
     def exact(self) -> dict[int, Fraction]:
         return dict(self.vp_means)
@@ -269,8 +265,7 @@ def reflect(mu: StepDistribution) -> StepDistribution:
     return StepDistribution((inverse(g), w) for g, w in mu.atoms)
 
 
-@dataclass(frozen=True)
-class ConvolutionTable:
+class ConvolutionTable(namedtuple("ConvolutionTable", "groups total n")):
     """Exact law of the n-step product, as integer counts over ``total``.
 
     ``groups`` maps each reduced linear part (a_num, a_den) to (D, counts):
@@ -280,9 +275,7 @@ class ConvolutionTable:
     A map's probability is count / total.
     """
 
-    groups: dict[tuple[int, int], tuple[int, dict[int, int]]]
-    total: int
-    n: int
+    __slots__ = ()
 
     def as_dict(self) -> dict[AffineMap, Fraction]:
         return {

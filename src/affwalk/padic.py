@@ -11,34 +11,32 @@ measures on Q_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import _require_finite_prime, _terms, _terms_valuation
+from .exact import _require_finite_prime, _terms, _terms_valuation, _Value
 
 __all__ = ["PadicExpansion", "expand", "ball_key_exact"]
 
 
-@dataclass(frozen=True)
-class PadicExpansion:
+class PadicExpansion(_Value):
     """Digits of a rational in Q_p, known modulo p^(start_exponent + N).
 
     The leading digit is nonzero except for the zero value, which is stored as
     all-zero digits with start_exponent 0.
     """
 
-    p: int
-    start_exponent: int
-    digits: tuple[int, ...]
+    __slots__ = ("p", "start_exponent", "digits")
 
-    def __post_init__(self):
-        _require_finite_prime(self.p)
-        if not self.digits:
+    def __init__(self, p: int, start_exponent: int, digits: tuple[int, ...]):
+        _require_finite_prime(p)
+        if not digits:
             raise ValueError("expansion needs at least one digit")
-        if any(d < 0 or d >= self.p for d in self.digits):
+        if any(d < 0 or d >= p for d in digits):
             raise ValueError("digits out of range")
-        if self.digits[0] == 0:
-            if any(self.digits) or self.start_exponent != 0:
+        if digits[0] == 0:
+            if any(digits) or start_exponent != 0:
                 raise ValueError("leading digit must be nonzero unless value is 0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "start_exponent", start_exponent)
+        object.__setattr__(self, "digits", digits)
 
     def render(self) -> str:
         """Digit string "d_v d_{v+1} ... (base p), start=v" for reports."""

@@ -14,7 +14,7 @@ probe outcome is recorded, never silently trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
@@ -24,7 +24,7 @@ from .errors import BudgetError, DegenerateMeasureError, StabilizationError
 from .exact import INFINITE_PLACE, Place, format_place, log_norm, prime_factors, valuation
 from .group import AffineMap
 from .measure import StepDistribution, drift_profile, validate
-from .padic import PadicExpansion, ball_key_exact, expand
+from .padic import ball_key_exact, expand
 from .prng import (
     LANES,
     cumulative_thresholds,
@@ -56,19 +56,16 @@ DEFAULT_MAX_BITS = 1_000_000
 _BLOCK_ENTRIES = 8_192  # most words a block table may hold: m**k for m atoms
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "seed steps")):
     """A finite walk: the drawn increments g_1..g_n."""
 
-    seed: int
-    steps: tuple[AffineMap, ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
 class _Encoding:
     """Integer form of a step law's atoms, built once per law and process.
 
@@ -85,14 +82,15 @@ class _Encoding:
     carries it empty.
     """
 
-    thresholds: tuple[int, ...]
-    offsets: Optional[tuple[int, ...]]
-    primes: tuple[int, ...]
-    scale: int
-    steps: tuple[tuple, ...]
-    min_vb: tuple[Optional[int], ...]
-    block: int
-    blocks: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, thresholds, offsets, primes, scale, steps, min_vb, block):
+        self.thresholds = thresholds
+        self.offsets = offsets
+        self.primes = primes
+        self.scale = scale
+        self.steps = steps
+        self.min_vb = min_vb
+        self.block = block
+        self.blocks = {}
 
     def __getstate__(self):
         return {**self.__dict__, "blocks": {}}
@@ -413,8 +411,12 @@ def _probe(
     return rep, after, agreed
 
 
-@dataclass(frozen=True)
-class BoundarySample:
+class BoundarySample(
+    namedtuple(
+        "BoundarySample",
+        "value probe_value real_interval stabilization_index probes steps_total",
+    )
+):
     """Stabilized boundary coordinate extracted from one trajectory.
 
     ``value`` is the exact Z at the stabilization index; the one rational
@@ -424,12 +426,7 @@ class BoundarySample:
     place, whether extending the walk left the locked resolution unchanged.
     """
 
-    value: Fraction
-    probe_value: Fraction
-    real_interval: Optional[tuple[float, float]]
-    stabilization_index: int
-    probes: tuple[tuple[Place, bool], ...]
-    steps_total: int
+    __slots__ = ()
 
     @property
     def probe_agreed(self) -> bool:
@@ -502,16 +499,15 @@ def extract_boundary(
     )
 
 
-@dataclass(frozen=True)
-class BoundaryDigits:
+class BoundaryDigits(
+    namedtuple(
+        "BoundaryDigits",
+        "expansion probe_expansion value stabilization_index probe_agreed steps_total",
+    )
+):
     """Digits of the limiting translation coordinate in one Q_p."""
 
-    expansion: PadicExpansion
-    probe_expansion: PadicExpansion
-    value: Fraction
-    stabilization_index: int
-    probe_agreed: bool
-    steps_total: int
+    __slots__ = ()
 
 
 def boundary_digits(
@@ -588,15 +584,10 @@ def _valuation_table(mu: StepDistribution, place: Place) -> tuple[list, list]:
     return [v(g.a) for g in mu.support], [None if g.b == 0 else v(g.b) for g in mu.support]
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(namedtuple("DivergenceReport", "place n samples mean values")):
     """Monte Carlo mean of the running-maximum statistic on one place."""
 
-    place: Place
-    n: int
-    samples: int
-    mean: float
-    values: tuple[float, ...]
+    __slots__ = ()
 
 
 def divergence_statistic(

@@ -372,6 +372,24 @@ def test_one_worker_run_skips_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # dataclasses imports inspect, and with it ast, dis and tokenize: start-up
+    # time that no record needs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def loaded(modules: str) -> str:
+        probe = "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+        code = f"import {modules}\n{probe}"
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return run.stdout.strip()
+
+    assert loaded("sys") == "[]"  # a bare interpreter loads neither
+    assert loaded("sys, affwalk.cli") == "[]"
+
+
 def test_subcommand_flag_sets():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

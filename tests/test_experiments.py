@@ -171,6 +171,33 @@ class TestMonteCarloSuites:
             run_stationarity(mu_rev, 2, radius_exponent=40, n=50, samples=2, seed=0)
         assert info.value.steps == 60
 
+    def test_stationarity_step_cap_checked_before_any_walk(self, mu_rev, monkeypatch):
+        # a lock holds for margin steps past the n-step prefix, so it needs
+        # n + margin <= cap; past that no walker is built
+        monkeypatch.setattr(experiments, "DEFAULT_STEP_CAP", 60)
+        walkers = []
+        walker_class = experiments._Walker
+
+        def counted(*args):
+            walkers.append(args)
+            return walker_class(*args)
+
+        monkeypatch.setattr(experiments, "_Walker", counted)
+        for n in (10**12, 29):
+            with pytest.raises(StabilizationError) as info:
+                run_stationarity(mu_rev, 2, radius_exponent=40, n=n, samples=2, seed=0)
+            assert str(info.value) == "no lock within 60 steps"
+            assert info.value.steps == 60
+        assert walkers == []
+        with pytest.raises(ValueError, match="margin must be at least 1"):
+            run_stationarity(mu_rev, 2, radius_exponent=40, n=10**12, margin=0, samples=2)
+        assert walkers == []
+        # at n + margin = cap the walk runs, and the lock's own cap stops it
+        with pytest.raises(StabilizationError) as info:
+            run_stationarity(mu_rev, 2, radius_exponent=40, n=28, samples=2, seed=0)
+        assert info.value.steps == 60
+        assert len(walkers) == 1
+
     def test_stationarity_3adic_fine_radius(self):
         # residues reach 3^30 > 2^46, past any float-exact bucket encoding
         mu = StepDistribution({AffineMap(3, 0): F(3, 4), AffineMap(F(1, 3), 1): F(1, 4)})

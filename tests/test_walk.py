@@ -359,8 +359,7 @@ class TestIntegerEngine:
                 walker.step()
         assert any(entry is not None for entry in enc.blocks.values())
         copy = pickle.loads(pickle.dumps(enc))
-        assert copy.blocks == {}
-        assert copy == enc
+        assert vars(copy) == {**vars(enc), "blocks": {}}
         assert _encode(mu_rev) is enc
 
     def test_primes_cover_every_slope(self):
