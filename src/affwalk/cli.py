@@ -9,10 +9,11 @@ range check is the runner's own.
 
 Exit codes: 0 pass, 1 bound-check fail, 2 config error (including
 non-numeric, non-finite and, where an integer is required, non-integral
-values, a worker count below 1 and an entropy cell budget below 1), 3
-resource budget exceeded (including walks that fail to stabilize within
-their step cap, an entropy table truncated before its second step, and an
-infinite-drift sign undecided within its digit budget).
+values, a worker count below 1, an entropy cell budget below 1 and an
+``--out`` path that cannot be written), 3 resource budget exceeded
+(including walks that fail to stabilize within their step cap, an entropy
+table truncated before its second step, and an infinite-drift sign
+undecided within its digit budget).
 """
 
 from __future__ import annotations
@@ -252,8 +253,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     text = render_json(report) if args.format == "json" else render_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.passed is not False else 1

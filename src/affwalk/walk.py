@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DegenerateMeasureError, StabilizationError
@@ -54,6 +54,7 @@ DEFAULT_MARGIN = 32
 DEFAULT_STEP_CAP = 200_000
 DEFAULT_MAX_BITS = 1_000_000
 _BLOCK_ENTRIES = 8_192  # most words a block table may hold: m**k for m atoms
+_SEARCH_CAP = 10_000  # steps increment_valuation_rate reads past n for a move
 
 
 class Trajectory(namedtuple("Trajectory", "seed steps")):
@@ -76,10 +77,9 @@ class _Encoding:
     b_i != 0 for p = primes[j], None when every b is 0.
 
     ``blocks`` maps a word of atom indices (bytes or a tuple) to its entry:
-    words of length ``block``, and their halves.  A word met for the first
-    time maps to None and is applied one step at a time; the second time, its
-    entry is built.  Each process fills its own table: a pickled encoding
-    carries it empty.
+    words of length ``block``, and their halves, each built the first time
+    it is met.  Each process fills its own table: a pickled encoding carries
+    it empty.
     """
 
     def __init__(self, thresholds, offsets, primes, scale, steps, min_vb, block):
@@ -168,29 +168,27 @@ class _Walker:
 
     ``step`` only reads the next atom of the current ``LANES``-draw batch and
     counts it.  ``_flush`` applies the steps drawn since the last flush: whole
-    blocks of ``block`` steps by one composite entry each (a block word met
-    for the first time, and the rest, one step at a time; see
-    ``_Encoding``).  An entry first scales N, D and ``_mul`` by the deficit s of
-    its least prefix exponent below the floor, then adds the translation
-    N += P * C / G (one exact division) when C != 0, then folds a = num / den
-    into the small slots ``_mul`` and ``_div``.  Every ``LANES``th step
-    flushes and runs the bit guard, which brings P up to date (one
-    multiplication by ``_mul``, one exact division by ``_div``); reads of
-    ``a``, ``z`` and ``exponents`` flush first.  So P (once brought up to
-    date), N, D and the exponents are those of stepping one atom at a time,
-    and no step takes a gcd.
+    blocks of ``block`` steps by one composite entry each (see ``_Encoding``),
+    and the rest one step at a time.  An entry first scales N, D and ``_mul``
+    by the deficit s of its least prefix exponent below the floor, then adds
+    the translation N += P * C / G (one exact division) when C != 0, then
+    folds a = num / den into the small slots ``_mul`` and ``_div``.  Every
+    ``LANES``th step flushes and runs the bit guard, which brings P up to
+    date (one multiplication by ``_mul``, one exact division by ``_div``);
+    reads of ``a``, ``z`` and ``exponents`` flush first.  So P (once brought
+    up to date), N, D and the exponents are those of stepping one atom at a
+    time, and no step takes a gcd.
     """
 
     __slots__ = (
-        "primes", "min_vb", "count", "max_bits", "_enc", "_batches", "_atoms",
-        "_done", "_exponents", "_scale", "_floor", "_p", "_mul", "_div", "_n", "_d",
+        "primes", "min_vb", "count", "_enc", "_batches", "_atoms", "_done",
+        "_exponents", "_scale", "_floor", "_p", "_mul", "_div", "_n", "_d",
     )
 
-    def __init__(self, enc: _Encoding, seed: int, max_bits: int = DEFAULT_MAX_BITS):
+    def __init__(self, enc: _Encoding, seed: int):
         self.primes = enc.primes
         self.min_vb = enc.min_vb
         self.count = 0
-        self.max_bits = max_bits
         self._enc = enc
         self._batches = _atom_batches(enc.thresholds, enc.offsets, seed)
         self._atoms = next(self._batches)
@@ -228,14 +226,7 @@ class _Walker:
         entries = []
         for at in range(start, whole, k):
             word = atoms[at:at + k]
-            entry = blocks.get(word)
-            if entry is not None:
-                entries.append(entry)
-            elif word in blocks:  # the word recurs, so its entry pays
-                entries.append(enc.entry(word))
-            else:
-                blocks[word] = None
-                entries += [steps[i] for i in word]
+            entries.append(blocks.get(word) or enc.entry(word))
         entries += [steps[i] for i in atoms[whole:stop]]
         primes, exponents, floor = self.primes, self._exponents, self._floor
         p, mul, div, n, d = self._p, self._mul, self._div, self._n, self._d
@@ -270,17 +261,19 @@ class _Walker:
         return self._p
 
     def _check_bits(self) -> None:
-        """Raise BudgetError when the reduced a and z exceed ``max_bits``.
+        """Raise BudgetError when the reduced a and z exceed ``DEFAULT_MAX_BITS``.
 
-        The unreduced integers bound the reduced sizes from above, so the
-        exact count (one gcd) is taken only when that bound exceeds the guard.
+        The guard is the module constant as it reads at the call.  The
+        unreduced integers bound the reduced sizes from above, so the exact
+        count (one gcd) is taken only when that bound exceeds the guard.
         """
+        guard = DEFAULT_MAX_BITS
         d_bits = self._d.bit_length()
         bound = (
             self._sync().bit_length() + self._n.bit_length()
             + 2 * d_bits + self._scale.bit_length()
         )
-        if bound <= self.max_bits:
+        if bound <= guard:
             return
         a, z = self.a, self.z
         bits = (
@@ -289,10 +282,9 @@ class _Walker:
             + z.numerator.bit_length()
             + z.denominator.bit_length()
         )
-        if bits > self.max_bits:
+        if bits > guard:
             raise BudgetError(
-                f"walk state reached {bits} bits at step {self.count}, "
-                f"guard is {self.max_bits}",
+                f"walk state reached {bits} bits at step {self.count}, guard is {guard}",
                 reached=bits,
             )
 
@@ -319,19 +311,14 @@ class _Walker:
         return Fraction(self._n, self._scale * self._d)
 
 
-def sample_path(
-    mu: StepDistribution,
-    n: int,
-    seed: int,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> Trajectory:
+def sample_path(mu: StepDistribution, n: int, seed: int) -> Trajectory:
     """Deterministic n-step trajectory for a non-degenerate step law."""
     report = validate(mu)
     if report.degenerate:
         raise DegenerateMeasureError(report.reason or "degenerate step law")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    step = _Walker(_encode(mu), seed, max_bits).step
+    step = _Walker(_encode(mu), seed).step
     return Trajectory(seed, tuple(mu.support[step()] for _ in range(n)))
 
 
@@ -340,7 +327,6 @@ def _lock(
     targets: Mapping[int, int],
     margin: int,
     step_cap: int,
-    min_index: int = 0,
     real: Optional[tuple[float, Sequence[float]]] = None,
 ) -> None:
     """Step until every place has held its lock for ``margin`` consecutive steps.
@@ -350,8 +336,8 @@ def _lock(
     b is 0.  ``real`` is (need, ln|a_i| per atom): R holds while
     ln|A_n| <= need.  One joint counter stands for one counter per place:
     each place has held for the last ``margin`` steps exactly when all places
-    held on each of them.  The walk also runs to ``walker.count >= min_index``
-    and raises StabilizationError once ``walker.count`` reaches ``step_cap``.
+    held on each of them.  Raises StabilizationError once ``walker.count``
+    reaches ``step_cap``.
     """
     # v_p(A_n), kept here from each atom's moves: the walker applies its
     # steps only in blocks
@@ -368,7 +354,7 @@ def _lock(
         la = log_norm(walker.a, INFINITE_PLACE)
     step = walker.step
     held = 0
-    while held < margin or walker.count < min_index:
+    while held < margin:
         if walker.count >= step_cap:
             raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
         i = step()
@@ -440,8 +426,6 @@ def extract_boundary(
     real_tol: float | None = None,
     margin: int = DEFAULT_MARGIN,
     step_cap: int = DEFAULT_STEP_CAP,
-    min_index: int = 0,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> BoundarySample:
     """Run one walk until every requested place's coordinate looks locked.
 
@@ -454,7 +438,8 @@ def extract_boundary(
     and each place's resolution re-checked; outcomes land in ``probes``.
     With ``real_tol`` the sample's ``real_interval`` encloses the real limit
     within tol (plus float slack).  The prefix of the same walk is
-    ``sample_path(mu, n, seed)``.
+    ``sample_path(mu, n, seed)``.  The walk stops at ``step_cap`` steps
+    (StabilizationError) or past ``DEFAULT_MAX_BITS`` bits (BudgetError).
     """
     finite_targets = dict(finite_targets or {})
     if not finite_targets and real_tol is None:
@@ -474,11 +459,11 @@ def extract_boundary(
         max_b = max(abs(float(g.b)) for g in mu.support)
         # with every b = 0, Z stays 0 and R is always locked
         need = math.log(real_tol * safety) - math.log(max_b) if max_b else math.inf
-        real = (need, _valuation_table(mu, INFINITE_PLACE)[0])
+        real = (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
         real_bound = math.log(real_tol / 2)
 
-    walker = _Walker(_encode(mu), seed, max_bits)
-    _lock(walker, finite_targets, margin, step_cap, min_index, real)
+    walker = _Walker(_encode(mu), seed)
+    _lock(walker, finite_targets, margin, step_cap, real)
     lock_index = walker.count
     rep, after, probes = _probe(walker, margin, finite_targets, real_bound)
     real_interval = None
@@ -517,7 +502,6 @@ def boundary_digits(
     seed: int,
     margin: int = DEFAULT_MARGIN,
     step_cap: int = DEFAULT_STEP_CAP,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> BoundaryDigits:
     """Walk until the first n_digits of Z_n in Q_p look stable, then expand.
 
@@ -531,12 +515,7 @@ def boundary_digits(
         raise ValueError("precision must be at least 1")
     target = n_digits + 1  # one exponent of headroom over the digit window
     sample = extract_boundary(
-        mu,
-        seed,
-        finite_targets={p: target},
-        margin=margin,
-        step_cap=step_cap,
-        max_bits=max_bits,
+        mu, seed, finite_targets={p: target}, margin=margin, step_cap=step_cap
     )
     locked = expand(sample.value, p, n_digits)
     probe = expand(sample.probe_value, p, n_digits)
@@ -570,18 +549,25 @@ def _atom_batches(
         yield tuple([pick_index(u, thresholds) for u in lanes])
 
 
-def _draws(thresholds: Sequence[int], seed: int) -> Iterator[int]:
-    """Atom indices of one seed's stream, one draw at a time."""
-    return chain.from_iterable(_atom_batches(thresholds, lane_offsets(thresholds), seed))
+def _increments(mu: StepDistribution, place: Place, seed: int) -> Iterator[tuple]:
+    """(v(A_{k-1}), v(b_k)) for k = 1, 2, ... of one seed's walk.
 
-
-def _valuation_table(mu: StepDistribution, place: Place) -> tuple[list, list]:
-    """Per atom, v_p(a) and v_p(b), with ln|.| in place of v_p on R; None at b = 0."""
+    v is v_p at a finite prime and ln|.| on R, and v(b_k) is None at b_k = 0.
+    The atoms are drawn through the law's cached encoding, so they are the
+    atoms every other walk of the seed draws.
+    """
 
     def v(q: Fraction):
         return log_norm(q, place) if place == INFINITE_PLACE else valuation(q, place)
 
-    return [v(g.a) for g in mu.support], [None if g.b == 0 else v(g.b) for g in mu.support]
+    va = [v(g.a) for g in mu.support]
+    vb = [None if g.b == 0 else v(g.b) for g in mu.support]
+    enc = _encode(mu)
+    running = 0
+    for atoms in _atom_batches(enc.thresholds, enc.offsets, seed):
+        for i in atoms:
+            yield running, vb[i]
+            running += va[i]
 
 
 class DivergenceReport(namedtuple("DivergenceReport", "place n samples mean values")):
@@ -607,21 +593,16 @@ def divergence_statistic(
         raise ValueError("length and sample count must be at least 1")
     if place in drift_profile(mu).contracting():
         raise ValueError(f"place {format_place(place)} contracts; statistic undefined")
-    incr_a, incr_b = _valuation_table(mu, place)
-    # ln|A_{k-1} b_k|_p = (running + incr_b) * scale
+    # ln|A_{k-1} b_k|_p = (v(A_{k-1}) + v(b_k)) * scale
     scale = 1.0 if place == INFINITE_PLACE else -math.log(place)
-    thresholds = cumulative_thresholds(mu.weights)
     values = []
     for i in range(samples):
-        running = 0.0  # v_p(A_{k-1}) (finite p) or ln|A_{k-1}| (infinite)
         best = 0.0
-        for j in islice(_draws(thresholds, replica_seed(seed, i)), n):
-            vb = incr_b[j]
+        for va, vb in islice(_increments(mu, place, replica_seed(seed, i)), n):
             if vb is not None:
-                term = (running + vb) * scale
+                term = (va + vb) * scale
                 if term > best:
                     best = term
-            running += incr_a[j]
         values.append(best / n)
     return DivergenceReport(
         place=place,
@@ -632,19 +613,14 @@ def divergence_statistic(
     )
 
 
-def increment_valuation_rate(
-    mu: StepDistribution,
-    p: int,
-    n: int,
-    seed: int,
-    search_cap: int = 10_000,
-) -> float:
+def increment_valuation_rate(mu: StepDistribution, p: int, n: int, seed: int) -> float:
     """v_p of the first nonzero increment of Z at or after step n, over n.
 
     The increment Z_{m+1} - Z_m equals A_m b_{m+1}; atoms with b = 0 leave
     Z unchanged, so the statistic reads the first step m >= n that moves.
     On contracting primes this approaches -drift/1 (positive), mirroring the
-    geometric decay of the tail.  Returned in nats: v_p * ln(p) / n.
+    geometric decay of the tail.  Returned in nats: v_p * ln(p) / n.  Raises
+    StabilizationError when none of the ``_SEARCH_CAP`` steps after n moves.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -652,17 +628,9 @@ def increment_valuation_rate(
         raise ValueError("the increment valuation needs a finite prime")
     if all(g.b == 0 for g in mu.support):
         raise ValueError("no translation atoms: Z never moves")
-    atom_vp, atom_vb = _valuation_table(mu, p)
-    draws = _draws(cumulative_thresholds(mu.weights), seed)
-    running = 0
-    for j in islice(draws, n):
-        running += atom_vp[j]
-    for j in islice(draws, search_cap):
-        vb = atom_vb[j]
+    for va, vb in islice(_increments(mu, p, seed), n, n + _SEARCH_CAP):
         if vb is not None:
-            return (running + vb) * math.log(p) / n
-        running += atom_vp[j]
+            return (va + vb) * math.log(p) / n
     raise StabilizationError(
-        f"no nonzero increment within {search_cap} steps after {n}",
-        steps=search_cap,
+        f"no nonzero increment within {_SEARCH_CAP} steps after {n}", steps=_SEARCH_CAP
     )

@@ -458,6 +458,16 @@ class TestOutputs:
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("# name validate")
 
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_exits_2(self, bias_config, tmp_path, capsys, where):
+        target = tmp_path if where == "directory" else tmp_path / "nope" / "x.csv"
+        assert main(["--config", bias_config, "--out", str(target), "validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write report: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_boundary_roundtrip(self, rev_config, capsys):
         assert main(
             ["--config", rev_config, "--seed", "11", "boundary",

@@ -22,12 +22,13 @@ from affwalk import (
     divergence_statistic,
     extract_boundary,
     increment_valuation_rate,
+    log_norm,
     sample_path,
     valuation,
 )
 from affwalk import walk
-from affwalk.measure import validate
-from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index
+from affwalk.measure import drift_profile, validate
+from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
 from affwalk.walk import _encode, _Walker
 
 F = Fraction
@@ -178,8 +179,7 @@ class TestRealLimit:
 
 class TestExtractBoundary:
     def test_prefix_and_probes(self, mu_rev):
-        sample = extract_boundary(mu_rev, seed=1, finite_targets={2: 10}, min_index=25)
-        assert sample.stabilization_index >= 25
+        sample = extract_boundary(mu_rev, seed=1, finite_targets={2: 10})
         assert all(ok for _, ok in sample.probes)
         # the same seed draws the same atoms, so sample_path gives the prefix
         n = sample.stabilization_index
@@ -190,12 +190,6 @@ class TestExtractBoundary:
         coarse = extract_boundary(mu_rev, seed=2, finite_targets={2: 8})
         fine = extract_boundary(mu_rev, seed=2, finite_targets={2: 14})
         assert ball_key_exact(coarse.value, 2, 8) == ball_key_exact(fine.value, 2, 8)
-
-    def test_min_index_respected(self, mu_rev):
-        sample = extract_boundary(
-            mu_rev, seed=4, finite_targets={2: 4}, min_index=120
-        )
-        assert sample.stabilization_index >= 120
 
     def test_joint_finite_and_real_lock(self):
         # contracts at 2 and on R; both places must hold for the same margin
@@ -244,6 +238,106 @@ class TestIncrementRate:
         mu = StepDistribution({AffineMap(2, 0): F(1, 2), AffineMap(F(1, 2), 0): F(1, 2)})
         with pytest.raises(ValueError):
             increment_valuation_rate(mu, 2, 100, seed=0)
+
+
+def _atom_valuations(mu, place):
+    """Per atom, v_p(a) and v_p(b) (ln|.| on R), None at b = 0."""
+
+    def v(q):
+        return log_norm(q, place) if place == INFINITE_PLACE else valuation(q, place)
+
+    return [v(g.a) for g in mu.support], [None if g.b == 0 else v(g.b) for g in mu.support]
+
+
+def _divergence_oracle(mu, place, n, samples, seed):
+    """The running-maximum statistic, one draw at a time: (values, mean)."""
+    incr_a, incr_b = _atom_valuations(mu, place)
+    scale = 1.0 if place == INFINITE_PLACE else -math.log(place)
+    thresholds = cumulative_thresholds(mu.weights)
+    values = []
+    for i in range(samples):
+        rng = SplitMix64(replica_seed(seed, i))
+        running = 0.0
+        best = 0.0
+        for _ in range(n):
+            j = pick_index(rng.next_u64(), thresholds)
+            vb = incr_b[j]
+            if vb is not None:
+                term = (running + vb) * scale
+                if term > best:
+                    best = term
+            running += incr_a[j]
+        values.append(best / n)
+    return tuple(values), math.fsum(values) / samples
+
+
+def _increment_oracle(mu, p, n, seed, cap):
+    """The increment valuation rate, one draw at a time; None past ``cap``."""
+    atom_vp, atom_vb = _atom_valuations(mu, p)
+    thresholds = cumulative_thresholds(mu.weights)
+    rng = SplitMix64(seed)
+    running = 0
+    for _ in range(n):
+        running += atom_vp[pick_index(rng.next_u64(), thresholds)]
+    for _ in range(cap):
+        j = pick_index(rng.next_u64(), thresholds)
+        vb = atom_vb[j]
+        if vb is not None:
+            return (running + vb) * math.log(p) / n
+        running += atom_vp[j]
+    return None
+
+
+class TestValuationWalkReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _atoms,
+        st.sampled_from([INFINITE_PLACE, 2, 3]),
+        st.integers(1, 300),
+        st.integers(1, 3),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(_MIXED, 3, 7, 2, 5)
+    @example([(F(2), F(0), 1), (F(-1, 2), F(1), 1)], INFINITE_PLACE, 300, 3, 0)
+    def test_divergence_matches_draw_by_draw(self, atoms, place, n, samples, seed):
+        mu = _measure(atoms)
+        if place in drift_profile(mu).contracting():
+            with pytest.raises(ValueError):
+                divergence_statistic(mu, place, n, samples, seed)
+            return
+        rep = divergence_statistic(mu, place, n, samples, seed)
+        values, mean = _divergence_oracle(mu, place, n, samples, seed)
+        assert rep.values == values
+        assert rep.mean == mean
+        assert (rep.place, rep.n, rep.samples) == (place, n, samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _atoms, st.sampled_from([2, 3]), st.integers(1, 300), st.integers(0, 2**64 - 1)
+    )
+    @example(_MIXED, 2, 7, 5)
+    def test_increment_rate_matches_draw_by_draw(self, atoms, p, n, seed):
+        mu = _measure(atoms)
+        if all(g.b == 0 for g in mu.support):
+            with pytest.raises(ValueError):
+                increment_valuation_rate(mu, p, n, seed)
+            return
+        expected = _increment_oracle(mu, p, n, seed, 10_000)
+        assert expected is not None
+        assert increment_valuation_rate(mu, p, n, seed) == expected
+
+    @pytest.mark.parametrize("cap", [1, 3, 40])
+    def test_increment_rate_search_cap(self, cap, monkeypatch):
+        # b = 0 with weight 15/16: the first moving step after n is often late
+        mu = _measure([(F(2), F(0), 15), (F(1, 2), F(1), 1)])
+        monkeypatch.setattr(walk, "_SEARCH_CAP", cap)
+        for seed in range(40):
+            expected = _increment_oracle(mu, 2, 5, seed, cap)
+            if expected is None:
+                with pytest.raises(StabilizationError, match=f"within {cap} steps"):
+                    increment_valuation_rate(mu, 2, 5, seed)
+            else:
+                assert increment_valuation_rate(mu, 2, 5, seed) == expected
 
 
 class TestIntegerEngine:
@@ -303,9 +397,9 @@ class TestIntegerEngine:
         # the stepwise walker is read at every step, so each flush applies
         # one step; the others are read on a random schedule, so their flushes
         # apply whole blocks (1 to 12 atoms take blocks of 32, 8, 4 and 2
-        # steps).  On one seed, the first of them meets each block word for
-        # the first time and applies it step by step; the second meets the
-        # word again and applies its composite entry.
+        # steps).  On one seed, the first of them builds each block word's
+        # composite entry; the second meets the word again and reads it from
+        # the table.
         _encode.cache_clear()  # start from an empty block table
         enc = _encode(_measure(atoms))
         stepwise = _Walker(enc, seed)
@@ -357,7 +451,8 @@ class TestIntegerEngine:
             walker = _Walker(enc, 7)
             for _ in range(256):
                 walker.step()
-        assert any(entry is not None for entry in enc.blocks.values())
+        assert enc.blocks
+        assert all(entry is not None for entry in enc.blocks.values())
         copy = pickle.loads(pickle.dumps(enc))
         assert vars(copy) == {**vars(enc), "blocks": {}}
         assert _encode(mu_rev) is enc
@@ -374,27 +469,30 @@ class TestIntegerEngine:
         mu = _measure(atoms)
         assume(not validate(mu).degenerate)
         _, hit = _fraction_walk(mu, seed, 256, max_bits)
-        if hit is None:
-            assert sample_path(mu, 256, seed, max_bits=max_bits).length == 256
-            return
-        with pytest.raises(BudgetError) as info:
-            sample_path(mu, 256, seed, max_bits=max_bits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walk, "DEFAULT_MAX_BITS", max_bits)
+            if hit is None:
+                assert sample_path(mu, 256, seed).length == 256
+                return
+            with pytest.raises(BudgetError) as info:
+                sample_path(mu, 256, seed)
         step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
         assert (step, info.value.reached) == hit
 
-    def test_bit_guard_counts_the_pending_slope(self):
+    def test_bit_guard_counts_the_pending_slope(self, monkeypatch):
         # no translation in the first 32 steps: only the guard itself brings
         # the slope integer up to date before it bounds the state's size
         mu = _measure([(F(2**30), F(0), 63), (F(1, 2), F(1), 1)])
         reference, hit = _fraction_walk(mu, 0, 64, 100)
         assert all(g.b == 0 for g, _, _ in reference[:32])
         assert hit == (32, 963)
+        monkeypatch.setattr(walk, "DEFAULT_MAX_BITS", 100)
         with pytest.raises(BudgetError) as info:
-            sample_path(mu, 64, 0, max_bits=100)
+            sample_path(mu, 64, 0)
         assert info.value.reached == 963
         assert "at step 32," in str(info.value)
 
-    def test_bit_guard_boundaries(self):
+    def test_bit_guard_boundaries(self, monkeypatch):
         # guards set at and just below each checkpoint's size: the walk must
         # stop at the first checkpoint strictly above the guard
         mu = _measure(_MIXED)
@@ -406,10 +504,11 @@ class TestIntegerEngine:
         ]
         for guard in sorted({b - d for _, b in sizes for d in (0, 1)}):
             hit = next(((k, b) for k, b in sizes if b > guard), None)
+            monkeypatch.setattr(walk, "DEFAULT_MAX_BITS", guard)
             if hit is None:
-                assert sample_path(mu, 256, 5, max_bits=guard).length == 256
+                assert sample_path(mu, 256, 5).length == 256
                 continue
             with pytest.raises(BudgetError) as info:
-                sample_path(mu, 256, 5, max_bits=guard)
+                sample_path(mu, 256, 5)
             assert info.value.reached == hit[1]
             assert f"at step {hit[0]}," in str(info.value)
