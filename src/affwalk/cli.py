@@ -19,8 +19,10 @@ undecided within its digit budget).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -189,6 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Reject an ``--out`` path that cannot take a file, before any run; touch nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write report: {OSError(code, os.strerror(code), path)}")
+
+
 def _dispatch(args, cfg: dict) -> Report:
     """Run ``run_<command>`` with the keywords the flags and config give.
 
@@ -232,6 +246,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         cfg = _load_config(args.config)
         report = _dispatch(args, cfg)
     except (ConfigError, ValueError) as exc:

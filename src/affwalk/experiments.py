@@ -642,9 +642,7 @@ def _stationarity_replica(
 ) -> tuple[int, tuple[tuple, tuple], int, bool]:
     """(seed, ball keys of the tail point at steps 0 and n, lock index, probe verdict)."""
     walker = _Walker(encoding, seed)
-    step = walker.step
-    for _ in range(n):
-        step()
+    walker.advance(n)
     a_n, z_n = walker.a, walker.z
     # lock the representative at a resolution fine enough for the tail at n;
     # p contracts, so it divides some atom's linear part and has a slot

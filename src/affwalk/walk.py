@@ -167,7 +167,9 @@ class _Walker:
     P = A_n * D (which carries the sign) as ``_p * _mul / _div``.
 
     ``step`` only reads the next atom of the current ``LANES``-draw batch and
-    counts it.  ``_flush`` applies the steps drawn since the last flush: whole
+    counts it; ``advance(m)`` counts m steps in one call, with the flush, bit
+    guard and next batch at each multiple of ``LANES`` that m ``step`` calls
+    would run.  ``_flush`` applies the steps drawn since the last flush: whole
     blocks of ``block`` steps by one composite entry each (see ``_Encoding``),
     and the rest one step at a time.  An entry first scales N, D and ``_mul``
     by the deficit s of its least prefix exponent below the floor, then adds
@@ -212,6 +214,19 @@ class _Walker:
             self._check_bits()
             self._atoms = next(self._batches)
         return i
+
+    def advance(self, m: int) -> None:
+        """Take m steps at once: the state ``step`` called m times leaves."""
+        count, target = self.count, self.count + m
+        while True:
+            edge = count - count % LANES + LANES
+            if edge > target:
+                self.count = target
+                return
+            self.count = count = edge
+            self._flush()
+            self._check_bits()
+            self._atoms = next(self._batches)
 
     def _flush(self) -> None:
         """Apply the steps drawn since the last flush; see the class docstring."""
@@ -338,9 +353,13 @@ def _lock(
     each place has held for the last ``margin`` steps exactly when all places
     held on each of them.  Raises StabilizationError once ``walker.count``
     reaches ``step_cap``.
+
+    The lock reads the atoms the walker has drawn but not yet taken, up to
+    the end of its batch or to ``step_cap``, one step at a time, and keeps
+    its own v_p(A_n) (and ln|A_n|) from each atom's moves; the walker then
+    takes the steps read in one ``advance``.  One prime and no R, the case
+    of every digit and stationarity lock, reads one exponent in a scalar.
     """
-    # v_p(A_n), kept here from each atom's moves: the walker applies its
-    # steps only in blocks
     exponents = walker.exponents
     moves = [entry[4] for entry in walker._enc.steps]
     slots = []
@@ -352,22 +371,45 @@ def _lock(
     if real is not None:
         real_need, log_abs = real
         la = log_norm(walker.a, INFINITE_PLACE)
-    step = walker.step
+    one = len(slots) == 1 and real is None
+    if one:
+        [(j, need)] = slots
+        e = exponents[j]
+        change = [atom[j][1] for atom in moves]
     held = 0
     while held < margin:
-        if walker.count >= step_cap:
+        count = walker.count
+        if count >= step_cap:
             raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
-        i = step()
-        held += 1
-        for j, v, _ in moves[i]:
-            exponents[j] += v
-        for j, need in slots:
-            if exponents[j] < need:
-                held = 0
-        if real is not None:
-            la += log_abs[i]
-            if la > real_need:
-                held = 0
+        taken = 0
+        start = count % LANES
+        window = walker._atoms[start:start + step_cap - count]
+        if one:
+            for i in window:
+                taken += 1
+                e += change[i]
+                if e < need:
+                    held = 0
+                else:
+                    held += 1
+                    if held == margin:
+                        break
+        else:
+            for i in window:
+                taken += 1
+                held += 1
+                for j, v, _ in moves[i]:
+                    exponents[j] += v
+                for j, need in slots:
+                    if exponents[j] < need:
+                        held = 0
+                if real is not None:
+                    la += log_abs[i]
+                    if la > real_need:
+                        held = 0
+                if held == margin:
+                    break
+        walker.advance(taken)
 
 
 def _probe(

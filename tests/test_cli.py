@@ -459,7 +459,13 @@ class TestOutputs:
         assert target.read_text().startswith("# name validate")
 
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
-    def test_unwritable_out_exits_2(self, bias_config, tmp_path, capsys, where):
+    def test_unwritable_out_exits_2(self, bias_config, tmp_path, capsys, monkeypatch, where):
+        # the path is checked before the suite runs: a report that cannot be
+        # written is not computed
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran although its report cannot be written")
+
+        monkeypatch.setattr(cli, "run_validate", never)
         target = tmp_path if where == "directory" else tmp_path / "nope" / "x.csv"
         assert main(["--config", bias_config, "--out", str(target), "validate"]) == 2
         captured = capsys.readouterr()
@@ -467,6 +473,15 @@ class TestOutputs:
         assert captured.err.startswith("config error: cannot write report: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_out_file_untouched_by_a_failed_run(self, tmp_path, capsys):
+        target = tmp_path / "report.csv"
+        target.write_text("earlier report\n")
+        config = tmp_path / "empty.json"
+        config.write_text("{}")
+        assert main(["--config", str(config), "--out", str(target), "drift"]) == 2
+        assert "measure" in capsys.readouterr().err
+        assert target.read_text() == "earlier report\n"
 
     def test_boundary_roundtrip(self, rev_config, capsys):
         assert main(

@@ -198,6 +198,24 @@ class TestMonteCarloSuites:
         assert info.value.steps == 60
         assert len(walkers) == 1
 
+    @pytest.mark.parametrize("radius, n", [(6, 50), (4, 0), (4, 33)])
+    def test_stationarity_replica_walks_its_row_steps(self, mu_rev, monkeypatch, radius, n):
+        # each replica walks the lock index of its probe_miss row plus margin
+        # steps, the count the benchmark's work rests on
+        walked = []
+        probe = experiments._probe
+
+        def counted(walker, *args):
+            result = probe(walker, *args)
+            walked.append(walker.count)
+            return result
+
+        monkeypatch.setattr(experiments, "_probe", counted)
+        rep = run_stationarity(mu_rev, 2, radius, n, samples=40, seed=9, margin=7)
+        rows = [r for r in rep.rows if r.statistic == "probe_miss"]
+        assert walked == [r.n + 7 for r in rows]
+        assert all(r.n >= n + 7 for r in rows)
+
     def test_stationarity_3adic_fine_radius(self):
         # residues reach 3^30 > 2^46, past any float-exact bucket encoding
         mu = StepDistribution({AffineMap(3, 0): F(3, 4), AffineMap(F(1, 3), 1): F(1, 4)})

@@ -512,3 +512,159 @@ class TestIntegerEngine:
                 sample_path(mu, 256, 5)
             assert info.value.reached == hit[1]
             assert f"at step {hit[0]}," in str(info.value)
+
+
+def _state(walker):
+    """A walker's integer state, flushed: P, N, D, exponents, floor and count."""
+    return (
+        walker._sync(), walker._n, walker._d, walker.exponents, list(walker._floor),
+        walker.count,
+    )
+
+
+def _budget_stop(walk_to):
+    """(message, bits reached) of the BudgetError walk_to() raises, or None."""
+    try:
+        walk_to()
+    except BudgetError as exc:
+        return str(exc), exc.reached
+    return None
+
+
+# laws of up to 20 atoms: above PACKED_ATOMS the batches are tuples, not bytes
+_wide_atoms = st.lists(
+    st.tuples(_slopes, _translations, st.integers(1, 5)), min_size=1, max_size=20
+)
+# where advance stops: anywhere, or on a batch edge
+_stops = st.one_of(st.integers(0, 300), st.integers(0, 9).map(lambda k: 32 * k))
+
+
+class TestAdvance:
+    @settings(max_examples=80, deadline=None)
+    @given(_wide_atoms, st.integers(0, 2**64 - 1), st.integers(0, 80), _stops)
+    @example(_MIXED, 5, 10, 10)  # m = 0
+    @example(_MIXED, 5, 3, 20)  # inside one batch
+    @example(_MIXED, 5, 7, 64)  # onto a batch edge
+    @example(_MIXED, 5, 0, 32)  # exactly one batch
+    @example(_MIXED, 5, 40, 250)  # across several edges
+    @example([(F(2), F(i), 1) for i in range(18)], 5, 11, 150)  # tuple batches
+    def test_matches_repeated_step(self, atoms, seed, before, stop):
+        enc = _encode(_measure(atoms))
+        stepped, advanced = _Walker(enc, seed), _Walker(enc, seed)
+        for _ in range(before):
+            assert advanced.step() == stepped.step()
+        m = max(stop - before, 0)
+        for _ in range(m):
+            stepped.step()
+        advanced.advance(m)
+        assert advanced.count == before + m
+        assert _state(advanced) == _state(stepped)
+        assert [advanced.step() for _ in range(64)] == [stepped.step() for _ in range(64)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(8, 400), st.integers(0, 40))
+    @example(_MIXED, 5, 150, 0)
+    @example(_MIXED, 5, 150, 33)
+    def test_bit_guard_trips_at_the_same_step(self, atoms, seed, max_bits, before):
+        enc = _encode(_measure(atoms))
+        stepped, advanced = _Walker(enc, seed), _Walker(enc, seed)
+        for walker in (stepped, advanced):
+            for _ in range(before):
+                walker.step()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walk, "DEFAULT_MAX_BITS", max_bits)
+
+            def step_each():
+                for _ in range(256):
+                    stepped.step()
+
+            hit = _budget_stop(step_each)
+            assert _budget_stop(lambda: advanced.advance(256)) == hit
+        assert advanced.count == stepped.count
+        if hit is not None:
+            assert stepped.count % 32 == 0
+            assert f"at step {stepped.count}," in hit[0]
+
+
+def _reference_lock(walker, targets, margin, step_cap, real=None):
+    """The lock as one ``step`` call per step: the scanning lock's oracle."""
+    exponents = walker.exponents
+    moves = [entry[4] for entry in walker._enc.steps]
+    slots = []
+    for p, t in targets.items():
+        j = walker.primes.index(p)
+        if walker.min_vb[j] is not None:
+            slots.append((j, t - walker.min_vb[j]))
+    if real is not None:
+        real_need, log_abs = real
+        la = log_norm(walker.a, INFINITE_PLACE)
+    step = walker.step
+    held = 0
+    while held < margin:
+        if walker.count >= step_cap:
+            raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
+        i = step()
+        held += 1
+        for j, v, _ in moves[i]:
+            exponents[j] += v
+        for j, need in slots:
+            if exponents[j] < need:
+                held = 0
+        if real is not None:
+            la += log_abs[i]
+            if la > real_need:
+                held = 0
+
+
+def _lock_outcome(lock, walker, *args):
+    try:
+        lock(walker, *args)
+    except StabilizationError as exc:
+        return ("no lock", str(exc), exc.steps, walker.count)
+    return ("lock", walker.count)
+
+
+class TestLockOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _atoms,
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 80),
+        st.integers(1, 40),
+        st.integers(0, 300),
+        st.one_of(st.none(), st.floats(-4, 4), st.just(math.inf)),
+        st.data(),
+    )
+    @example(_MIXED, 5, 0, 32, 300, None, None)
+    @example(_MIXED, 5, 17, 8, 40, -1.0, None)
+    @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 50, 32, 10, None, None)
+    @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 0, 8, 300, None, None)
+    @example([(F(-2), F(1, 3), 2), (F(1, 4), F(0), 1), (F(1, 2), F(-1), 1)], 3, 5, 6, 300, None, None)
+    def test_matches_stepwise_lock(self, atoms, seed, before, margin, room, need, data):
+        mu = _measure(atoms)
+        enc = _encode(mu)
+        if data is None:  # the explicit examples lock every prime at exponent 2
+            targets = dict.fromkeys(enc.primes, 2)
+        else:
+            # one prime alone half the time: the lock's scalar path
+            chosen = data.draw(
+                st.one_of(
+                    st.lists(st.sampled_from(enc.primes), unique=True),
+                    st.sampled_from(enc.primes).map(lambda p: [p]),
+                )
+                if enc.primes
+                else st.just([])
+            )
+            targets = {p: data.draw(st.integers(-3, 8)) for p in chosen}
+        real = None if need is None else (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
+        scanned, stepped = _Walker(enc, seed), _Walker(enc, seed)
+        for walker in (scanned, stepped):
+            for _ in range(before):
+                walker.step()
+        # a small cap, so that many draws stop on it
+        args = (targets, margin, before + room, real)
+        assert _lock_outcome(walk._lock, scanned, *args) == _lock_outcome(
+            _reference_lock, stepped, *args
+        )
+        assert _state(scanned) == _state(stepped)
+        assert [scanned.step() for _ in range(40)] == [stepped.step() for _ in range(40)]
