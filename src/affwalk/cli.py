@@ -192,12 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Reject an ``--out`` path that cannot take a file, before any run; touch nothing."""
+    """Reject an ``--out`` path that cannot take a file, before any run; touch nothing.
+
+    A directory, a missing parent, a parent that is a file, an existing file
+    that is not writable and a parent that cannot take a new file are caught;
+    the file itself is opened only once the report exists.
+    """
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not (
+        os.access(path, os.W_OK) if os.path.exists(path)
+        else os.access(parent, os.W_OK | os.X_OK)
+    ):
+        code = errno.EACCES
     else:
         return
     raise ConfigError(f"cannot write report: {OSError(code, os.strerror(code), path)}")

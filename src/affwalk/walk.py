@@ -357,8 +357,7 @@ def _lock(
     The lock reads the atoms the walker has drawn but not yet taken, up to
     the end of its batch or to ``step_cap``, one step at a time, and keeps
     its own v_p(A_n) (and ln|A_n|) from each atom's moves; the walker then
-    takes the steps read in one ``advance``.  One prime and no R, the case
-    of every digit and stationarity lock, reads one exponent in a scalar.
+    takes the steps read in one ``advance``.
     """
     exponents = walker.exponents
     moves = [entry[4] for entry in walker._enc.steps]
@@ -371,11 +370,6 @@ def _lock(
     if real is not None:
         real_need, log_abs = real
         la = log_norm(walker.a, INFINITE_PLACE)
-    one = len(slots) == 1 and real is None
-    if one:
-        [(j, need)] = slots
-        e = exponents[j]
-        change = [atom[j][1] for atom in moves]
     held = 0
     while held < margin:
         count = walker.count
@@ -383,32 +377,20 @@ def _lock(
             raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
         taken = 0
         start = count % LANES
-        window = walker._atoms[start:start + step_cap - count]
-        if one:
-            for i in window:
-                taken += 1
-                e += change[i]
-                if e < need:
+        for i in walker._atoms[start:start + step_cap - count]:
+            taken += 1
+            held += 1
+            for j, v, _ in moves[i]:
+                exponents[j] += v
+            for j, need in slots:
+                if exponents[j] < need:
                     held = 0
-                else:
-                    held += 1
-                    if held == margin:
-                        break
-        else:
-            for i in window:
-                taken += 1
-                held += 1
-                for j, v, _ in moves[i]:
-                    exponents[j] += v
-                for j, need in slots:
-                    if exponents[j] < need:
-                        held = 0
-                if real is not None:
-                    la += log_abs[i]
-                    if la > real_need:
-                        held = 0
-                if held == margin:
-                    break
+            if real is not None:
+                la += log_abs[i]
+                if la > real_need:
+                    held = 0
+            if held == margin:
+                break
         walker.advance(taken)
 
 

@@ -474,6 +474,53 @@ class TestOutputs:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("where", ["read-only file", "read-only parent"])
+    def test_unwritable_out_permission_exits_2(
+        self, bias_config, tmp_path, capsys, monkeypatch, where
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran although its report cannot be written")
+
+        monkeypatch.setattr(cli, "run_validate", never)
+        target = tmp_path / "report.csv"
+        if where == "read-only file":
+            target.write_text("earlier report\n")
+        denied = str(target if where == "read-only file" else tmp_path)
+        real_access = os.access
+        # root passes a permission check on any mode, so the denial is simulated
+        monkeypatch.setattr(
+            os, "access", lambda p, mode: str(p) != denied and real_access(p, mode)
+        )
+        assert main(["--config", bias_config, "--out", str(target), "validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write report: ")
+        assert "Permission denied" in captured.err
+        assert captured.err.count("\n") == 1
+        if where == "read-only file":
+            assert target.read_text() == "earlier report\n"
+        else:
+            assert not target.exists()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="root may write a read-only directory",
+    )
+    def test_read_only_directory_out_exits_2(self, bias_config, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran although its report cannot be written")
+
+        monkeypatch.setattr(cli, "run_validate", never)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o500)
+        try:
+            target = locked / "report.csv"
+            assert main(["--config", bias_config, "--out", str(target), "validate"]) == 2
+            assert capsys.readouterr().err.startswith("config error: cannot write report: ")
+            assert not target.exists()
+        finally:
+            locked.chmod(0o700)
+
     def test_out_file_untouched_by_a_failed_run(self, tmp_path, capsys):
         target = tmp_path / "report.csv"
         target.write_text("earlier report\n")
