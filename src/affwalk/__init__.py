@@ -5,135 +5,28 @@ carry Fraction weights, trajectories keep exact group elements, and p-adic
 digit expansions are computed by modular inversion rather than floating
 point.  On top of that sit Monte Carlo experiment suites for drift laws,
 boundary contraction, height growth, and convolution entropy, plus a CLI.
+
+Each core module's ``__all__`` lists what the package exports from it.
 """
 
-from .errors import (
-    AffwalkError,
-    BudgetError,
-    ConfigError,
-    DegenerateMeasureError,
-    StabilizationError,
-)
-from .exact import (
-    INFINITE_PLACE,
-    format_place,
-    format_rational,
-    height,
-    height_plus,
-    log_norm,
-    log_norm_plus,
-    parse_place,
-    parse_rational,
-    prime_factors,
-    support_primes,
-    valuation,
-)
-from .group import (
-    BOUNDARY_TOL,
-    IDENTITY,
-    AffineMap,
-    adelic_length,
-    compose,
-    embed,
-    format_affine,
-    gauge_count_bound,
-    gauge_enumerate,
-    h_compose,
-    inverse,
-)
-from .measure import (
-    DEFAULT_CELL_BUDGET,
-    ConvolutionTable,
-    DriftProfile,
-    MeasureReport,
-    StepDistribution,
-    contracting_set,
-    convolve,
-    drift,
-    drift_profile,
-    entropy,
-    measure_config,
-    parse_measure_config,
-    power,
-    q_approximant,
-    reflect,
-    validate,
-)
-from .padic import PadicExpansion, ball_key_exact, expand
-from .prng import SplitMix64, mix64, replica_seed
-from .walk import (
-    BoundaryDigits,
-    BoundarySample,
-    DivergenceReport,
-    Trajectory,
-    boundary_digits,
-    divergence_statistic,
-    extract_boundary,
-    increment_valuation_rate,
-    sample_path,
-)
+from . import errors, exact, group, measure, padic, prng, walk
+from .errors import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .group import *  # noqa: F403
+from .measure import *  # noqa: F403
+from .padic import *  # noqa: F403
+from .prng import *  # noqa: F403
+from .walk import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffwalkError",
-    "BudgetError",
-    "ConfigError",
-    "DegenerateMeasureError",
-    "StabilizationError",
-    "INFINITE_PLACE",
-    "valuation",
-    "log_norm",
-    "log_norm_plus",
-    "height",
-    "height_plus",
-    "prime_factors",
-    "support_primes",
-    "format_rational",
-    "parse_rational",
-    "format_place",
-    "parse_place",
-    "PadicExpansion",
-    "expand",
-    "ball_key_exact",
-    "AffineMap",
-    "IDENTITY",
-    "BOUNDARY_TOL",
-    "compose",
-    "inverse",
-    "embed",
-    "h_compose",
-    "adelic_length",
-    "gauge_enumerate",
-    "gauge_count_bound",
-    "format_affine",
-    "StepDistribution",
-    "MeasureReport",
-    "DriftProfile",
-    "ConvolutionTable",
-    "DEFAULT_CELL_BUDGET",
-    "validate",
-    "drift",
-    "drift_profile",
-    "contracting_set",
-    "q_approximant",
-    "reflect",
-    "convolve",
-    "power",
-    "entropy",
-    "measure_config",
-    "parse_measure_config",
-    "SplitMix64",
-    "mix64",
-    "replica_seed",
-    "Trajectory",
-    "BoundarySample",
-    "BoundaryDigits",
-    "DivergenceReport",
-    "sample_path",
-    "extract_boundary",
-    "boundary_digits",
-    "divergence_statistic",
-    "increment_valuation_rate",
+    *errors.__all__,
+    *exact.__all__,
+    *group.__all__,
+    *measure.__all__,
+    *padic.__all__,
+    *prng.__all__,
+    *walk.__all__,
     "__version__",
 ]

@@ -15,20 +15,11 @@ from typing import Union
 
 __all__ = [
     "INFINITE_PLACE",
-    "INFINITE_VALUATION",
-    "Place",
-    "is_prime",
     "valuation",
     "log_norm",
     "log_norm_plus",
     "height",
     "height_plus",
-    "prime_factors",
-    "support_primes",
-    "format_rational",
-    "parse_rational",
-    "format_place",
-    "parse_place",
 ]
 
 #: The archimedean place, used as a dictionary key alongside finite primes.

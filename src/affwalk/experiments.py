@@ -109,13 +109,18 @@ def render_csv(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    """Deterministic JSON (RFC 8259): a non-finite row value is written as the CSV writes it."""
+    rows = [r._asdict() for r in report.rows]
+    for row in rows:
+        if isinstance(row["value"], float) and not math.isfinite(row["value"]):
+            row["value"] = repr(row["value"])
     payload = {
         "name": report.name,
         "config": report.config,
         "summary": report.summary,
         "notes": report.notes,
         "passed": report.passed,
-        "rows": [r._asdict() for r in report.rows],
+        "rows": rows,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -18,17 +18,13 @@ from .exact import _Value, format_rational, height, height_plus
 
 __all__ = [
     "AffineMap",
-    "IDENTITY",
     "compose",
     "inverse",
-    "format_affine",
     "embed",
     "h_compose",
     "adelic_length",
     "gauge_enumerate",
-    "GAUGE_K_MAX",
     "gauge_count_bound",
-    "BOUNDARY_TOL",
 ]
 
 # Tolerance for membership ties at a float radius k (documented contract:
@@ -58,9 +54,6 @@ class AffineMap(_Value):
             self.b.numerator,
             self.b.denominator,
         )
-
-
-IDENTITY = AffineMap(1, 0)
 
 
 def compose(g: AffineMap, h: AffineMap) -> AffineMap:

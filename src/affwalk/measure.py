@@ -37,18 +37,13 @@ __all__ = [
     "MeasureReport",
     "DriftProfile",
     "ConvolutionTable",
-    "validate",
     "drift",
     "drift_profile",
     "contracting_set",
-    "q_approximant",
     "reflect",
-    "convolve",
     "power",
     "entropy",
     "parse_measure_config",
-    "measure_config",
-    "DEFAULT_CELL_BUDGET",
 ]
 
 DEFAULT_CELL_BUDGET = 10**7

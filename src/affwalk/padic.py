@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .exact import _require_finite_prime, _terms, _terms_valuation, _Value
 
-__all__ = ["PadicExpansion", "expand", "ball_key_exact"]
+__all__ = ["PadicExpansion"]
 
 
 class PadicExpansion(_Value):

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
-__all__ = ["mix64", "SplitMix64", "replica_seed", "cumulative_thresholds", "pick_index"]
+__all__ = ["mix64", "SplitMix64"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -45,9 +45,6 @@ __all__ = [
     "DivergenceReport",
     "divergence_statistic",
     "increment_valuation_rate",
-    "DEFAULT_MARGIN",
-    "DEFAULT_STEP_CAP",
-    "DEFAULT_MAX_BITS",
 ]
 
 DEFAULT_MARGIN = 32
@@ -164,27 +161,28 @@ class _Walker:
     A_n = +-prod primes[j]**exponents[j].  With ``_floor[j]`` the lowest
     exponent so far (never above 0) and D = prod primes[j]**-_floor[j], the
     state keeps the integers N = Z_n * scale * D and D, and the slope integer
-    P = A_n * D (which carries the sign) as ``_p * _mul / _div``.
+    P = A_n * D (which carries the sign).
 
     ``step`` only reads the next atom of the current ``LANES``-draw batch and
     counts it; ``advance(m)`` counts m steps in one call, with the flush, bit
     guard and next batch at each multiple of ``LANES`` that m ``step`` calls
     would run.  ``_flush`` applies the steps drawn since the last flush: whole
     blocks of ``block`` steps by one composite entry each (see ``_Encoding``),
-    and the rest one step at a time.  An entry first scales N, D and ``_mul``
-    by the deficit s of its least prefix exponent below the floor, then adds
-    the translation N += P * C / G (one exact division) when C != 0, then
-    folds a = num / den into the small slots ``_mul`` and ``_div``.  Every
-    ``LANES``th step flushes and runs the bit guard, which brings P up to
-    date (one multiplication by ``_mul``, one exact division by ``_div``);
-    reads of ``a``, ``z`` and ``exponents`` flush first.  So P (once brought
-    up to date), N, D and the exponents are those of stepping one atom at a
-    time, and no step takes a gcd.
+    and the rest one step at a time.  The flush carries P's pending factor
+    as two small integers, mul / div.  An entry first scales N, D and mul by
+    the deficit s of its least prefix exponent below the floor, then adds
+    the translation N += P * mul * C / (div * G) (one exact division) when
+    C != 0, then folds a = num / den into mul and div.  The flush ends by
+    bringing P up to date: one multiplication by mul, one exact division by
+    div.  Every ``LANES``th step flushes and runs the bit guard; reads of
+    ``a``, ``z`` and ``exponents`` flush first.  So after every flush P, N,
+    D and the exponents are those of stepping one atom at a time, and no
+    step takes a gcd.
     """
 
     __slots__ = (
         "primes", "min_vb", "count", "_enc", "_batches", "_atoms", "_done",
-        "_exponents", "_scale", "_floor", "_p", "_mul", "_div", "_n", "_d",
+        "_exponents", "_scale", "_floor", "_p", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int):
@@ -199,8 +197,6 @@ class _Walker:
         self._scale = enc.scale
         self._floor = [0] * len(enc.primes)
         self._p = 1
-        self._mul = 1
-        self._div = 1
         self._n = 0
         self._d = 1
 
@@ -244,7 +240,8 @@ class _Walker:
             entries.append(blocks.get(word) or enc.entry(word))
         entries += [steps[i] for i in atoms[whole:stop]]
         primes, exponents, floor = self.primes, self._exponents, self._floor
-        p, mul, div, n, d = self._p, self._mul, self._div, self._n, self._d
+        p, n, d = self._p, self._n, self._d
+        mul = div = 1
         for c, g, num, den, moves in entries:
             s = 1
             for j, v, low in moves:
@@ -262,30 +259,24 @@ class _Walker:
                 n += p * (mul * c) // (div * g)
             mul *= num
             div *= den
-        self._mul, self._div, self._n, self._d = mul, div, n, d
-
-    def _sync(self) -> int:
-        """Flush, bring P up to date from the pending slots, empty them, and return P."""
-        self._flush()
-        if self._mul != 1:
-            self._p *= self._mul
-            self._mul = 1
-        if self._div != 1:
-            self._p //= self._div
-            self._div = 1
-        return self._p
+        if mul != 1:
+            p *= mul
+        if div != 1:
+            p //= div
+        self._p, self._n, self._d = p, n, d
 
     def _check_bits(self) -> None:
         """Raise BudgetError when the reduced a and z exceed ``DEFAULT_MAX_BITS``.
 
         The guard is the module constant as it reads at the call.  The
         unreduced integers bound the reduced sizes from above, so the exact
-        count (one gcd) is taken only when that bound exceeds the guard.
+        count (one gcd) is taken only when that bound exceeds the guard.  It
+        runs right after a flush, which leaves P up to date.
         """
         guard = DEFAULT_MAX_BITS
         d_bits = self._d.bit_length()
         bound = (
-            self._sync().bit_length() + self._n.bit_length()
+            self._p.bit_length() + self._n.bit_length()
             + 2 * d_bits + self._scale.bit_length()
         )
         if bound <= guard:
@@ -311,7 +302,8 @@ class _Walker:
 
     @property
     def a(self) -> Fraction:
-        negative = self._sync() < 0
+        self._flush()
+        negative = self._p < 0
         num = den = 1
         for p, v in zip(self.primes, self._exponents):
             if v > 0:

@@ -3,20 +3,15 @@
 import affwalk
 
 PUBLIC = [
-    "AffineMap", "AffwalkError", "BOUNDARY_TOL", "BoundaryDigits", "BoundarySample",
-    "BudgetError", "ConfigError", "ConvolutionTable", "DEFAULT_CELL_BUDGET",
-    "DegenerateMeasureError", "DivergenceReport", "DriftProfile", "IDENTITY",
-    "INFINITE_PLACE", "MeasureReport", "PadicExpansion",
-    "SplitMix64", "StabilizationError", "StepDistribution", "Trajectory",
-    "__version__", "adelic_length", "ball_key_exact", "boundary_digits",
-    "compose", "contracting_set", "convolve", "divergence_statistic", "drift",
-    "drift_profile", "embed", "entropy", "expand", "extract_boundary", "format_affine",
-    "format_place", "format_rational", "gauge_count_bound", "gauge_enumerate",
-    "h_compose", "height", "height_plus", "increment_valuation_rate", "inverse",
-    "log_norm", "log_norm_plus", "measure_config", "mix64",
-    "parse_measure_config", "parse_place", "parse_rational", "power", "prime_factors",
-    "q_approximant", "reflect", "replica_seed", "sample_path", "support_primes",
-    "validate", "valuation",
+    "AffineMap", "AffwalkError", "BoundaryDigits", "BoundarySample", "BudgetError",
+    "ConfigError", "ConvolutionTable", "DegenerateMeasureError", "DivergenceReport",
+    "DriftProfile", "INFINITE_PLACE", "MeasureReport", "PadicExpansion", "SplitMix64",
+    "StabilizationError", "StepDistribution", "Trajectory", "__version__",
+    "adelic_length", "boundary_digits", "compose", "contracting_set",
+    "divergence_statistic", "drift", "drift_profile", "embed", "entropy",
+    "extract_boundary", "gauge_count_bound", "gauge_enumerate", "h_compose", "height",
+    "height_plus", "increment_valuation_rate", "inverse", "log_norm", "log_norm_plus",
+    "mix64", "parse_measure_config", "power", "reflect", "sample_path", "valuation",
 ]
 
 

@@ -390,6 +390,31 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert loaded("sys, affwalk.cli") == "[]"
 
 
+@pytest.mark.parametrize(
+    "blob, argv, code",
+    [
+        (BIAS, ["drift"], 0),
+        ({"measure": {"atoms": [{"a": "1", "b": "2", "w": "1"}]}}, ["validate"], 1),
+        ({}, ["drift"], 2),
+        (BIAS, ["entropy", "--cell-budget", "1"], 3),
+    ],
+    ids=["ok", "check-failed", "config-error", "budget"],
+)
+def test_python_m_affwalk_exits_with_the_code_of_main(tmp_path, capsys, blob, argv, code):
+    # python -m affwalk runs __main__.py and cli.entrypoint, the console script's target
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    argv = ["--config", str(cfg), *argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "affwalk", *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == code
+    assert main(argv) == code
+    assert run.stdout == capsys.readouterr().out
+
+
 def test_subcommand_flag_sets():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -449,6 +474,21 @@ class TestOutputs:
         blob = json.loads(capsys.readouterr().out)
         assert blob["name"] == "drift"
         assert blob["passed"] is True
+
+    @pytest.mark.parametrize("command", sorted(_MINIMAL))
+    def test_json_format_is_strict_json(self, rev_config, capsys, command):
+        # RFC 8259 has no Infinity or NaN: step 0 of a walk has Z = 0, so
+        # log|Z| = -inf and v_2(Z) = inf, which are written as "-inf" and "inf"
+        global_flags, flags, _ = _MINIMAL[command]
+        if command == "walk":
+            flags = ["--p", "2"]
+        argv = ["--config", rev_config, "--format", "json", *global_flags, command, *flags]
+        assert main(argv) in (0, 1)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        json.loads(capsys.readouterr().out, parse_constant=reject)
 
     def test_out_file(self, bias_config, tmp_path, capsys):
         target = tmp_path / "report.csv"

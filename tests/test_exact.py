@@ -7,22 +7,24 @@ from hypothesis import strategies as st
 
 from affwalk import (
     INFINITE_PLACE,
-    ball_key_exact,
-    expand,
-    format_place,
-    format_rational,
     height,
     height_plus,
     log_norm,
     log_norm_plus,
+    valuation,
+)
+from affwalk.exact import (
+    INFINITE_VALUATION,
+    format_place,
+    format_rational,
+    is_prime,
     parse_place,
     parse_rational,
     prime_factors,
     support_primes,
-    valuation,
 )
-from affwalk.exact import INFINITE_VALUATION, is_prime
 from affwalk.experiments import _partial_plus
+from affwalk.padic import ball_key_exact, expand
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-(10**9)), max_value=Fraction(10**9), max_denominator=10**9

@@ -11,12 +11,10 @@ from affwalk import (
     AffineMap,
     StabilizationError,
     StepDistribution,
-    ball_key_exact,
     cli,
     divergence_statistic,
     experiments,
     increment_valuation_rate,
-    measure_config,
 )
 from affwalk.experiments import (
     Report,
@@ -34,6 +32,8 @@ from affwalk.experiments import (
     run_validate,
     run_walk,
 )
+from affwalk.measure import measure_config
+from affwalk.padic import ball_key_exact
 
 F = Fraction
 

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affwalk import (
-    BOUNDARY_TOL,
-    IDENTITY,
     INFINITE_PLACE,
     AffineMap,
     adelic_length,
     compose,
     embed,
-    format_affine,
     gauge_count_bound,
     gauge_enumerate,
     h_compose,
@@ -21,9 +18,11 @@ from affwalk import (
     height_plus,
     inverse,
     log_norm_plus,
-    parse_rational,
-    support_primes,
 )
+from affwalk.exact import parse_rational, support_primes
+from affwalk.group import BOUNDARY_TOL, format_affine
+
+IDENTITY = AffineMap(1, 0)
 
 small_fractions = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=100

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affwalk import (
-    IDENTITY,
     INFINITE_PLACE,
     AffineMap,
     BudgetError,
@@ -16,21 +15,19 @@ from affwalk import (
     StepDistribution,
     compose,
     contracting_set,
-    convolve,
     drift,
     drift_profile,
     entropy,
-    measure_config,
+    measure,
     parse_measure_config,
     power,
-    q_approximant,
     reflect,
-    validate,
 )
-from affwalk import measure
 from affwalk.experiments import run_drift
+from affwalk.measure import convolve, measure_config, q_approximant, validate
 
 F = Fraction
+IDENTITY = AffineMap(1, 0)
 
 
 def weights_for(n):

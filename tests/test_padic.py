@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affwalk import PadicExpansion, ball_key_exact, expand, log_norm, valuation
+from affwalk import PadicExpansion, log_norm, valuation
+from affwalk.padic import ball_key_exact, expand
 
 odd_denominator_rationals = st.fractions(
     min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**6

@@ -19,13 +19,13 @@ from affwalk import (
     boundary_digits,
     divergence_statistic,
     drift_profile,
-    expand,
     extract_boundary,
     power,
     sample_path,
-    validate,
 )
 from affwalk.experiments import Report, Row, render_csv, render_json
+from affwalk.measure import validate
+from affwalk.padic import expand
 from affwalk.walk import _encode
 
 
