@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import BudgetError
+
 __all__ = [
     "INFINITE_PLACE",
     "valuation",
@@ -62,15 +64,29 @@ class _Value:
         return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the primes up to 41, which certify
+# every n below psi_13 = 3317044064679887385961981, the least strong
+# pseudoprime to all of them (Sorenson and Webster 2017).  Without 41 the bound
+# is psi_12 = 318665857834031151167461, which the shorter set calls prime.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+# Steps of x -> x^2 + c that one _rho_factor call may take over all its
+# retries: about 0.7 s on a 128-bit n (2-CPU Xeon, Python 3.11), twice what
+# psi_12 needs.
+_RHO_STEPS = 1 << 20
 
 # Divided out of prime_factors' input before any cofactor is tested or split.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test (Miller-Rabin with a fixed witness set).
+
+    Exact below ``_MR_BOUND``.  At or above it a witness may still prove n
+    composite; an n that passes every witness raises ``BudgetError``, since
+    the set cannot certify it prime.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -93,6 +109,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise BudgetError(f"cannot certify that a {n.bit_length()}-bit integer is prime")
     return True
 
 
@@ -207,15 +225,23 @@ def _rho_factor(n: int) -> int:
     Brent's variant of Pollard's rho (Brent 1980, "An improved Monte Carlo
     factorization algorithm", BIT 20): iterate x -> x^2 + c mod n, batching
     the gcd over 128 differences, and retry with the next c when the cycle
-    closes on n itself.  Deterministic: c runs 1, 2, 3, ...
+    closes on n itself.  Deterministic: c runs 1, 2, 3, ...  Raises
+    ``BudgetError`` before the steps of all tries could pass ``_RHO_STEPS``.
     """
     batch = 128
     c = 0
+    spent = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            spent += 2 * r  # the most this round can take: r to advance, r in batches
+            if spent > _RHO_STEPS:
+                raise BudgetError(
+                    f"no factor of a {n.bit_length()}-bit integer within {_RHO_STEPS} rho steps",
+                    reached=spent,
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -243,6 +269,8 @@ def prime_factors(n: int) -> dict[int, int]:
 
     Small primes go by trial division; every cofactor left is either prime
     (Miller-Rabin) or split by Pollard-Brent rho until all parts are prime.
+    Raises ``BudgetError`` on a cofactor that ``is_prime`` cannot certify or
+    that rho cannot split within its step budget.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -4,8 +4,8 @@ Each suite runs independent seeded replicas, each of which returns plain
 values with its seed first; the suite builds the report rows
 (experiment, p, n, seed, statistic, value) from them and summarizes the
 values against the configured bound.  Replicas may be fanned out to a
-process pool; the results come back in replica index order, so output bytes
-are identical for any worker count.
+process pool; the suites consume the results as they arrive, in replica
+index order, so output bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import os
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, StabilizationError
 from .exact import (
@@ -75,6 +75,9 @@ DEFAULT_FREQ_THRESHOLD_PROP44 = 0.9
 DEFAULT_FINAL_BOUND_LLN41 = 0.05 * math.log(2)
 SEED_RULE = "seed_i = seed XOR mix64(i)"
 
+# rows per joined block of CSV text
+_CSV_CHUNK_ROWS = 1024
+
 
 Row = namedtuple("Row", "experiment p n seed statistic value")
 
@@ -92,7 +95,11 @@ def _dumps(obj) -> str:
 
 
 def render_csv(report: Report) -> str:
-    """Deterministic CSV: config and summary as comments, then the rows."""
+    """Deterministic CSV: config and summary as comments, then the rows.
+
+    The rows are joined ``_CSV_CHUNK_ROWS`` at a time and the chunks once at
+    the end, so the heap never holds a list of every line beside the text.
+    """
     lines = [
         f"# name {report.name}",
         f"# config {_dumps(report.config)}",
@@ -103,9 +110,15 @@ def render_csv(report: Report) -> str:
     if report.passed is not None:
         lines.append(f"# passed {str(report.passed).lower()}")
     lines.append("experiment,p,n,seed,statistic,value")
-    for r in report.rows:
-        lines.append(f"{r.experiment},{r.p},{r.n},{r.seed},{r.statistic},{r.value!r}")
-    return "\n".join(lines) + "\n"
+    chunks = ["\n".join(lines)]
+    rows = iter(report.rows)
+    while chunk := [
+        f"{r.experiment},{r.p},{r.n},{r.seed},{r.statistic},{r.value!r}"
+        for r in islice(rows, _CSV_CHUNK_ROWS)
+    ]:
+        chunks.append("\n".join(chunk))
+    chunks.append("")  # the final newline, without a copy of the text
+    return "\n".join(chunks)
 
 
 def render_json(report: Report) -> str:
@@ -142,13 +155,15 @@ def _run_chunk(args) -> list:
     return [fn(replica_seed(base_seed, i)) for i in range(lo, hi)]
 
 
-def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers: int) -> list:
-    """``fn(seed_i)`` for every replica, in index order.
+def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers: int) -> Iterator:
+    """``fn(seed_i)`` for every replica, yielded in index order as results arrive.
 
-    The results are identical for any worker count.  ``fn`` is a module-level
-    replica or a ``functools.partial`` of one with keyword arguments, so a job
-    pickles it by name.  The pool never exceeds the CPU count or the number
-    of chunks.
+    The results are identical for any worker count.  The range checks run at
+    the call; the replicas run as the caller consumes them, one at a time at
+    one worker and a chunk at a time, as the pool returns it, at several.
+    ``fn`` is a module-level replica or a ``functools.partial`` of one with
+    keyword arguments, so a job pickles it by name.  The pool never exceeds
+    the CPU count or the number of chunks.
     """
     if samples < 1:
         raise ValueError("sample count must be at least 1")
@@ -156,15 +171,20 @@ def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers:
         raise ValueError("worker count must be at least 1")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        return _run_chunk((fn, base_seed, 0, samples))
+        return map(fn, map(partial(replica_seed, base_seed), range(samples)))
     chunk = max(1, math.ceil(samples / (workers * 4)))
     bounds = list(range(0, samples, chunk)) + [samples]
     jobs = [(fn, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    return _pooled(jobs, min(workers, len(jobs)))
+
+
+def _pooled(jobs: list, workers: int) -> Iterator:
     # imported here: the pool's import tree is a cost a 1-worker run never pays
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(chain.from_iterable(pool.map(_run_chunk, jobs)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for results in pool.map(_run_chunk, jobs):
+            yield from results
 
 
 def _grid(n_grid: Sequence[int]) -> list[int]:
@@ -250,6 +270,7 @@ def run_walk(
         raise ValueError("walk length must be nonnegative")
     primes = tuple(dict.fromkeys(primes))  # each prime counts once
     walker = _Walker(_encode(mu), seed)
+    places = [(p, str(p)) for p in primes]
     rows = []
 
     def snapshot(m: int):
@@ -257,9 +278,9 @@ def run_walk(
         rows.append(Row("walk", "", m, seed, "log_abs_A", log_norm(a, INFINITE_PLACE)))
         lz = log_norm(z, INFINITE_PLACE) if z != 0 else -math.inf
         rows.append(Row("walk", "", m, seed, "log_abs_Z", lz))
-        for p in primes:
-            rows.append(Row("walk", str(p), m, seed, "v_A", float(valuation(a, p))))
-            rows.append(Row("walk", str(p), m, seed, "v_Z", float(valuation(z, p))))
+        for p, label in places:
+            rows.append(Row("walk", label, m, seed, "v_A", float(valuation(a, p))))
+            rows.append(Row("walk", label, m, seed, "v_Z", float(valuation(z, p))))
 
     snapshot(0)
     step = walker.step
@@ -360,7 +381,7 @@ def run_lln41(
         encoding=_encode(mu),
         targets={n: q_approximant(profile, n) for n in grid},
     )
-    results = _fan_out(replica, seed, samples, workers)
+    results = list(_fan_out(replica, seed, samples, workers))
     rows = [
         Row("lln41", "", m, s, "height_ratio", v)
         for s, values in results
@@ -417,7 +438,7 @@ def run_lln43(
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
     replica = partial(_lln43_replica, encoding=_encode(mu), grid=grid, places=places)
-    results = _fan_out(replica, seed, samples, workers)
+    results = list(_fan_out(replica, seed, samples, workers))
     rows = [
         Row("lln43", "", m, s, "partial_height_rate", v)
         for s, values in results
@@ -528,7 +549,7 @@ def run_prop44(
         finite_probe=finite_probe,
         real_probe=real_probe,
     )
-    results = _fan_out(replica, seed, samples, workers)
+    results = list(_fan_out(replica, seed, samples, workers))
     rows = []
     for s, firsts, totals, probe_ok in results:
         for n, first, total in zip(grid, firsts, totals):
@@ -694,14 +715,20 @@ def run_stationarity(
         margin=margin,
         step_cap=DEFAULT_STEP_CAP,
     )
+    # rows share their constant fields: one place label, one value per ball and per verdict
+    place = str(p)
+    labels: dict = {}
+    miss = (0.0, 1.0)
     rows = []
     hist0: Counter = Counter()
     hist1: Counter = Counter()
     misses = 0
     for s, (key0, key1), stab_index, probe_ok in _fan_out(replica, seed, samples, workers):
-        rows.append(Row("stationarity", str(p), 0, s, "ball_bucket", _ball_label(key0)))
-        rows.append(Row("stationarity", str(p), n, s, "ball_bucket", _ball_label(key1)))
-        rows.append(Row("stationarity", str(p), stab_index, s, "probe_miss", float(not probe_ok)))
+        label0 = labels.setdefault(key0, _ball_label(key0))
+        label1 = labels.setdefault(key1, _ball_label(key1))
+        rows.append(Row("stationarity", place, 0, s, "ball_bucket", label0))
+        rows.append(Row("stationarity", place, n, s, "ball_bucket", label1))
+        rows.append(Row("stationarity", place, stab_index, s, "probe_miss", miss[not probe_ok]))
         hist0[key0] += 1
         hist1[key1] += 1
         misses += not probe_ok

@@ -17,11 +17,19 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DegenerateMeasureError, StabilizationError
-from .exact import INFINITE_PLACE, Place, format_place, log_norm, prime_factors, valuation
+from .exact import (
+    INFINITE_PLACE,
+    INFINITE_VALUATION,
+    Place,
+    format_place,
+    log_norm,
+    prime_factors,
+    valuation,
+)
 from .group import AffineMap
 from .measure import StepDistribution, drift_profile, validate
 from .padic import ball_key_exact, expand
@@ -565,25 +573,25 @@ def _atom_batches(
         yield tuple([pick_index(u, thresholds) for u in lanes])
 
 
-def _increments(mu: StepDistribution, place: Place, seed: int) -> Iterator[tuple]:
-    """(v(A_{k-1}), v(b_k)) for k = 1, 2, ... of one seed's walk.
+def _valuation_walk(
+    mu: StepDistribution, place: Place, seed: int
+) -> tuple[list, list, Iterator[int]]:
+    """v(a_i) and v(b_i) for each atom i, and the atom indices of one seed's walk.
 
-    v is v_p at a finite prime and ln|.| on R, and v(b_k) is None at b_k = 0.
-    The atoms are drawn through the law's cached encoding, so they are the
-    atoms every other walk of the seed draws.
+    v is v_p at a finite prime and ln|.| on R, with v(0) = v_p(0) = inf and
+    ln 0 = -inf, so a step with b_k = 0 has ln|A_{k-1} b_k| = -inf at every
+    place.  The atoms are drawn through the law's cached encoding, so they
+    are the atoms every other walk of the seed draws.
     """
 
     def v(q: Fraction):
-        return log_norm(q, place) if place == INFINITE_PLACE else valuation(q, place)
+        if place != INFINITE_PLACE:
+            return valuation(q, place)
+        return log_norm(q, place) if q else -math.inf
 
-    va = [v(g.a) for g in mu.support]
-    vb = [None if g.b == 0 else v(g.b) for g in mu.support]
     enc = _encode(mu)
-    running = 0
-    for atoms in _atom_batches(enc.thresholds, enc.offsets, seed):
-        for i in atoms:
-            yield running, vb[i]
-            running += va[i]
+    draws = chain.from_iterable(_atom_batches(enc.thresholds, enc.offsets, seed))
+    return [v(g.a) for g in mu.support], [v(g.b) for g in mu.support], draws
 
 
 class DivergenceReport(namedtuple("DivergenceReport", "place n samples mean values")):
@@ -613,12 +621,14 @@ def divergence_statistic(
     scale = 1.0 if place == INFINITE_PLACE else -math.log(place)
     values = []
     for i in range(samples):
+        va, vb, draws = _valuation_walk(mu, place, replica_seed(seed, i))
+        running = 0  # v(A_{k-1})
         best = 0.0
-        for va, vb in islice(_increments(mu, place, replica_seed(seed, i)), n):
-            if vb is not None:
-                term = (va + vb) * scale
-                if term > best:
-                    best = term
+        for j in islice(draws, n):
+            term = (running + vb[j]) * scale
+            if term > best:
+                best = term
+            running += va[j]
         values.append(best / n)
     return DivergenceReport(
         place=place,
@@ -644,9 +654,14 @@ def increment_valuation_rate(mu: StepDistribution, p: int, n: int, seed: int) ->
         raise ValueError("the increment valuation needs a finite prime")
     if all(g.b == 0 for g in mu.support):
         raise ValueError("no translation atoms: Z never moves")
-    for va, vb in islice(_increments(mu, p, seed), n, n + _SEARCH_CAP):
-        if vb is not None:
-            return (va + vb) * math.log(p) / n
+    va, vb, draws = _valuation_walk(mu, p, seed)
+    running = 0  # v_p(A_m)
+    for j in islice(draws, n):
+        running += va[j]
+    for j in islice(draws, _SEARCH_CAP):
+        if vb[j] != INFINITE_VALUATION:
+            return (running + vb[j]) * math.log(p) / n
+        running += va[j]
     raise StabilizationError(
         f"no nonzero increment within {_SEARCH_CAP} steps after {n}", steps=_SEARCH_CAP
     )

@@ -142,6 +142,26 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert '"infinite_sign":-1' in capsys.readouterr().out
 
+    def test_drift_factoring_budget_exit_3(self, tmp_path):
+        # the slope is a product of two 64-bit primes: rho stops at its step
+        # budget instead of running for minutes; a subprocess bounds the wait
+        p, q = 9223372036854775837, 9223372036854775907
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"atoms": [
+            {"a": str(p * q), "b": "0", "w": "1/2"},
+            {"a": "1/2", "b": "1", "w": "1/2"},
+        ]}}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "affwalk", "--config", str(cfg), "drift"],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert run.returncode == 3
+        assert run.stdout == ""
+        assert run.stderr.startswith("resource budget exceeded: ")
+        assert len(run.stderr.splitlines()) == 1
+
     def test_drift_with_huge_slopes(self, tmp_path, capsys):
         # |ln a| near 10^4: the drift-sum identity holds to rounding at that scale
         cfg = tmp_path / "cfg.json"

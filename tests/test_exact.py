@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from affwalk import (
     INFINITE_PLACE,
+    BudgetError,
     height,
     height_plus,
     log_norm,
@@ -159,6 +160,24 @@ class TestPrimes:
             1086373,
             3930973,
         }
+
+    def test_psi12_is_composite(self):
+        # the least strong pseudoprime to every prime base up to 37; base 41 rejects it
+        psi12 = 318665857834031151167461
+        assert not is_prime(psi12)
+        assert prime_factors(psi12) == {399165290221: 1, 798330580441: 1}
+
+    def test_uncertified_prime_raises_budget_error(self):
+        # psi13 passes every witness up to 41, so the set cannot call it prime or composite
+        psi13 = 3317044064679887385961981
+        with pytest.raises(BudgetError, match="cannot certify"):
+            is_prime(psi13)
+        with pytest.raises(BudgetError):
+            prime_factors(psi13)
+
+    def test_composite_above_the_bound_still_factors(self):
+        # a witness proves the product composite, and rho splits it
+        assert prime_factors((2**61 - 1) * (2**31 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
 
     def test_support(self):
         assert support_primes(Fraction(12, 35)) == {2, 3, 5, 7}

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from affwalk.experiments import (
 )
 from affwalk.measure import measure_config
 from affwalk.padic import ball_key_exact
+from affwalk.prng import replica_seed
 
 F = Fraction
 
@@ -70,6 +72,23 @@ class TestRendering:
         text = render_csv(Report("r", {}, [row], {}))
         value = text.splitlines()[-1].split(",")[-1]
         assert float(value) == 0.1 + 0.2
+
+    def test_csv_heap_peak_is_near_twice_the_text(self):
+        # the rows are joined in chunks, so no list of every line sits beside the text
+        rows = [
+            Row("stationarity", "2", i % 50, replica_seed(0, i), "ball_bucket", i / 7)
+            for i in range(30_000)
+        ]
+        report = Report("stationarity", {"seed": 0}, rows, {"x": 1.5}, True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            text = render_csv(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 30_000 + 5
+        assert peak - start <= 2.5 * len(text)
 
     def test_json_parses_and_sorts(self):
         blob = json.loads(render_json(self._report()))
@@ -148,10 +167,22 @@ class TestMonteCarloSuites:
         seeds43 = {r.seed for r in r43.rows}
         assert seeds41 == seeds43
 
-    def test_worker_count_invariance(self, mu_bias):
-        r1 = run_lln41(mu_bias, n_grid=[40, 80], samples=12, seed=9, workers=1)
-        r2 = run_lln41(mu_bias, n_grid=[40, 80], samples=12, seed=9, workers=3)
-        assert render_csv(r1) == render_csv(r2)
+    @pytest.mark.parametrize(
+        "run, law, kwargs",
+        [
+            (run_lln41, "mu_bias", dict(n_grid=[40, 80])),
+            (run_lln43, "mu_bias", dict(places=[2], n_grid=[40, 80])),
+            (run_prop44, "mu_rev", dict(places=[2], n_grid=[20, 40])),
+            (run_stationarity, "mu_rev", dict(p=2, radius_exponent=4, n=30)),
+        ],
+        ids=["lln41", "lln43", "prop44", "stationarity"],
+    )
+    def test_worker_count_invariance(self, request, run, law, kwargs):
+        # the pooled path yields each chunk as it arrives: same rows, same order
+        mu = request.getfixturevalue(law)
+        r1 = run(mu, samples=12, seed=9, workers=1, **kwargs)
+        r3 = run(mu, samples=12, seed=9, workers=3, **kwargs)
+        assert render_csv(r1) == render_csv(r3)
 
     def test_stationarity_small(self, mu_rev):
         rep = run_stationarity(
