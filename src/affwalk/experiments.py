@@ -1,9 +1,10 @@
 """Experiment suites and machine-readable reports.
 
 Each suite runs independent seeded replicas, each of which returns plain
-values with its seed first; the suite builds the report rows
-(experiment, p, n, seed, statistic, value) from them and summarizes the
-values against the configured bound.  Replicas may be fanned out to a
+values (and a grid suite's replica, any rows of its own) with its seed
+first; the suite builds the report rows (experiment, p, n, seed,
+statistic, value) from them and summarizes the values against the
+configured bound.  Replicas may be fanned out to a
 process pool; the suites consume the results as they arrive, in replica
 index order, so output bytes are identical for any worker count.
 """
@@ -142,8 +143,10 @@ def _partial_plus(z: Fraction, places: Iterable[Place]) -> float:
     return math.fsum(log_norm_plus(z, p) for p in places)
 
 
-def _seed_config(seed: int, samples: int) -> dict:
-    return {"seed": seed, "samples": samples, "seed_rule": SEED_RULE}
+def _suite_config(mu: StepDistribution, seed: int, samples: int, **params) -> dict:
+    """A replica suite's config: the law, the suite's parameters, and how replicas are seeded."""
+    seeding = {"seed": seed, "samples": samples, "seed_rule": SEED_RULE}
+    return {"measure": measure_config(mu), **params, **seeding}
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +191,10 @@ def _pooled(jobs: list, workers: int) -> Iterator:
 
 
 def _grid(n_grid: Sequence[int]) -> list[int]:
-    """The distinct grid points in increasing order; there is one, all positive."""
-    grid = sorted(set(n_grid))
-    if not grid or grid[0] < 1:
+    """The distinct grid points in increasing order; there is one, all positive integers."""
+    if not n_grid or not all(isinstance(n, int) and n >= 1 for n in n_grid):
         raise ValueError("n grid must be positive integers")
-    return grid
+    return sorted(set(n_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +360,44 @@ def _grid_walk(encoding, seed: int, grid: Sequence[int], n: int) -> tuple[_Walke
     return walker, snaps
 
 
-def _lln41_replica(seed: int, *, encoding, targets: dict[int, Fraction]) -> tuple[int, list]:
-    """(seed, height(A_m^(-1) q_m) / m at each grid point m)."""
+def _grid_suite(name, statistics, replica, verdict, mu, grid, seed, samples, workers, **params):
+    """Run a grid suite's replicas and build its report as their results stream in.
+
+    A replica returns ``(seed, points, trailing)``: one tuple of values per
+    grid point, in the order of ``statistics``, then rows of its own, which
+    follow its grid rows.  ``verdict(columns, rows)`` gives the summary and
+    the pass; ``columns`` holds, per grid point, every replica's last value.
+    """
+    rows = []
+    columns: list[list[float]] = [[] for _ in grid]
+    for s, points, trailing in _fan_out(replica, seed, samples, workers):
+        for n, values, column in zip(grid, points, columns):
+            rows.extend(Row(name, "", n, s, stat, v) for stat, v in zip(statistics, values))
+            column.append(values[-1])
+        rows.extend(trailing)
+    summary, passed = verdict(columns, rows)
+    config = _suite_config(mu, seed, samples, n_grid=grid, **params)
+    return Report(name=name, config=config, rows=rows, summary=summary, passed=passed)
+
+
+def _frequency_verdict(grid, columns, bound, freq_threshold, **extra) -> tuple[dict, bool]:
+    """The share of replicas at most ``bound`` per grid point; the last must reach the threshold."""
+    freqs = [sum(v <= bound for v in column) / len(column) for column in columns]
+    summary = {
+        "bound": bound,
+        "frequencies": {str(n): f for n, f in zip(grid, freqs)},
+        "final_frequency": freqs[-1],
+        "freq_threshold": freq_threshold,
+        **extra,
+    }
+    return summary, freqs[-1] >= freq_threshold
+
+
+def _lln41_replica(seed: int, *, encoding, targets: dict[int, Fraction]) -> tuple[int, list, tuple]:
+    """(seed, height(A_m^(-1) q_m) / m at each grid point m, no trailing rows)."""
     grid = list(targets)
     _, snaps = _grid_walk(encoding, seed, grid, grid[-1])
-    return seed, [height(targets[m] / a) / m for m, (a, _) in zip(grid, snaps)]
+    return seed, [(height(targets[m] / a) / m,) for m, (a, _) in zip(grid, snaps)], ()
 
 
 def run_lln41(
@@ -381,43 +416,30 @@ def run_lln41(
         encoding=_encode(mu),
         targets={n: q_approximant(profile, n) for n in grid},
     )
-    results = list(_fan_out(replica, seed, samples, workers))
-    rows = [
-        Row("lln41", "", m, s, "height_ratio", v)
-        for s, values in results
-        for m, v in zip(grid, values)
-    ]
-    columns = zip(*(values for _, values in results))
-    means = {m: math.fsum(col) / samples for m, col in zip(grid, columns)}
-    decreasing = all(means[b] < means[a] for a, b in zip(grid, grid[1:]))
-    final = means[grid[-1]]
-    summary = {
-        "means": {str(n): means[n] for n in grid},
-        "final_mean": final,
-        "decreasing": decreasing,
-        "final_bound": final_bound,
-    }
-    config = {
-        "measure": measure_config(mu),
-        "n_grid": grid,
-        "final_bound": final_bound,
-        **_seed_config(seed, samples),
-    }
-    return Report(
-        name="lln41",
-        config=config,
-        rows=rows,
-        summary=summary,
-        passed=decreasing and final < final_bound,
+
+    def verdict(columns, _):
+        means = [math.fsum(column) / samples for column in columns]
+        decreasing = all(b < a for a, b in zip(means, means[1:]))
+        summary = {
+            "means": {str(n): m for n, m in zip(grid, means)},
+            "final_mean": means[-1],
+            "decreasing": decreasing,
+            "final_bound": final_bound,
+        }
+        return summary, decreasing and means[-1] < final_bound
+
+    return _grid_suite(
+        "lln41", ("height_ratio",), replica, verdict, mu, grid, seed, samples, workers,
+        final_bound=final_bound,
     )
 
 
 def _lln43_replica(
     seed: int, *, encoding, grid: Sequence[int], places: tuple[Place, ...]
-) -> tuple[int, list[float]]:
-    """(seed, <Z_m>_P^+ / m at each grid point m)."""
+) -> tuple[int, list[tuple[float]], tuple]:
+    """(seed, <Z_m>_P^+ / m at each grid point m, no trailing rows)."""
     _, snaps = _grid_walk(encoding, seed, grid, grid[-1])
-    return seed, [_partial_plus(z, places) / m for m, (_, z) in zip(grid, snaps)]
+    return seed, [(_partial_plus(z, places) / m,) for m, (_, z) in zip(grid, snaps)], ()
 
 
 def run_lln43(
@@ -438,34 +460,15 @@ def run_lln43(
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
     replica = partial(_lln43_replica, encoding=_encode(mu), grid=grid, places=places)
-    results = list(_fan_out(replica, seed, samples, workers))
-    rows = [
-        Row("lln43", "", m, s, "partial_height_rate", v)
-        for s, values in results
-        for m, v in zip(grid, values)
-    ]
-    columns = zip(*(values for _, values in results))
-    freqs = {m: sum(v <= bound for v in col) / samples for m, col in zip(grid, columns)}
-    summary = {
-        "bound": bound,
-        "frequencies": {str(n): freqs[n] for n in grid},
-        "final_frequency": freqs[grid[-1]],
-        "freq_threshold": freq_threshold,
-    }
-    config = {
-        "measure": measure_config(mu),
-        "n_grid": grid,
-        "P": sorted(format_place(p) for p in places),
-        "epsilon": epsilon,
-        "freq_threshold": freq_threshold,
-        **_seed_config(seed, samples),
-    }
-    return Report(
-        name="lln43",
-        config=config,
-        rows=rows,
-        summary=summary,
-        passed=freqs[grid[-1]] >= freq_threshold,
+
+    def verdict(columns, _):
+        return _frequency_verdict(grid, columns, bound, freq_threshold)
+
+    return _grid_suite(
+        "lln43", ("partial_height_rate",), replica, verdict, mu, grid, seed, samples, workers,
+        P=sorted(format_place(p) for p in places),
+        epsilon=epsilon,
+        freq_threshold=freq_threshold,
     )
 
 
@@ -480,18 +483,18 @@ def _prop44_replica(
     margin: int,
     finite_probe: dict[int, int],
     real_probe: Optional[float],
-) -> tuple[int, list[float], list[float], bool]:
-    """(seed, height ratios and adelic rates at the grid points, probe verdict)."""
+) -> tuple[int, list[tuple[float, float]], tuple[Row]]:
+    """(seed, height ratio and adelic rate at each grid point, the probe_miss row)."""
     walker, snaps = _grid_walk(encoding, seed, list(targets), n_stab)
     rep, _, agreed = _probe(walker, margin, finite_probe, real_probe)
-    firsts, totals = [], []
+    points = []
     for n, (a, z) in zip(targets, snaps):
         first = height(targets[n] / a) / n
         boundary_term = _partial_plus((rep - z) / a, places)
         co_term = _partial_plus(z / a, cotrunc)
-        firsts.append(first)
-        totals.append(first + (boundary_term + co_term) / n)
-    return seed, firsts, totals, all(ok for _, ok in agreed)
+        points.append((first, first + (boundary_term + co_term) / n))
+    miss = float(not all(ok for _, ok in agreed))
+    return seed, points, (Row("prop44", "", n_stab, seed, "probe_miss", miss),)
 
 
 def run_prop44(
@@ -516,6 +519,8 @@ def run_prop44(
         raise ValueError("epsilon must be positive")
     if stab_factor < 1:
         raise ValueError("stab_factor must be at least 1")
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
     places = tuple(dict.fromkeys(places))  # each place counts once
     if not places:
         raise ValueError("prop44 needs a non-empty place list")
@@ -549,39 +554,21 @@ def run_prop44(
         finite_probe=finite_probe,
         real_probe=real_probe,
     )
-    results = list(_fan_out(replica, seed, samples, workers))
-    rows = []
-    for s, firsts, totals, probe_ok in results:
-        for n, first, total in zip(grid, firsts, totals):
-            rows.append(Row("prop44", "", n, s, "height_ratio", first))
-            rows.append(Row("prop44", "", n, s, "adelic_rate", total))
-        rows.append(Row("prop44", "", n_stab, s, "probe_miss", float(not probe_ok)))
-    columns = zip(*(totals for _, _, totals, _ in results))
-    freqs = {n: sum(v <= bound for v in col) / samples for n, col in zip(grid, columns)}
-    summary = {
-        "bound": bound,
-        "frequencies": {str(n): freqs[n] for n in grid},
-        "final_frequency": freqs[grid[-1]],
-        "freq_threshold": freq_threshold,
-        "probe_miss_rate": sum(not ok for *_, ok in results) / samples,
-        "n_stab": n_stab,
-    }
-    config = {
-        "measure": measure_config(mu),
-        "n_grid": grid,
-        "P": sorted(format_place(p) for p in places),
-        "epsilon": epsilon,
-        "freq_threshold": freq_threshold,
-        "stab_factor": stab_factor,
-        "margin": margin,
-        **_seed_config(seed, samples),
-    }
-    return Report(
-        name="prop44",
-        config=config,
-        rows=rows,
-        summary=summary,
-        passed=freqs[grid[-1]] >= freq_threshold,
+
+    def verdict(columns, rows):
+        misses = sum(r.value for r in rows if r.statistic == "probe_miss")
+        return _frequency_verdict(
+            grid, columns, bound, freq_threshold, probe_miss_rate=misses / samples, n_stab=n_stab
+        )
+
+    statistics = ("height_ratio", "adelic_rate")
+    return _grid_suite(
+        "prop44", statistics, replica, verdict, mu, grid, seed, samples, workers,
+        P=sorted(format_place(p) for p in places),
+        epsilon=epsilon,
+        freq_threshold=freq_threshold,
+        stab_factor=stab_factor,
+        margin=margin,
     )
 
 
@@ -697,8 +684,12 @@ def run_stationarity(
     total-variation distance of the two histograms.  The threshold is a test
     calibration, not a derived quantity.
     """
+    if not isinstance(n, int):
+        raise ValueError("walk length must be an integer")
     if n < 0:
         raise ValueError("walk length must be nonnegative")
+    if p == INFINITE_PLACE:
+        raise ValueError("stationarity needs a finite prime")
     profile = drift_profile(mu)
     if profile.exact().get(p, Fraction(0)) <= 0:
         raise ValueError(f"prime {p} does not contract")
@@ -742,15 +733,16 @@ def run_stationarity(
         "probe_miss_rate": misses / samples,
         "buckets": len(keys),
     }
-    config = {
-        "measure": measure_config(mu),
-        "p": p,
-        "radius_exponent": radius_exponent,
-        "n": n,
-        "tv_threshold": tv_threshold,
-        "margin": margin,
-        **_seed_config(seed, samples),
-    }
+    config = _suite_config(
+        mu,
+        seed,
+        samples,
+        p=p,
+        radius_exponent=radius_exponent,
+        n=n,
+        tv_threshold=tv_threshold,
+        margin=margin,
+    )
     return Report(
         name="stationarity",
         config=config,

@@ -168,21 +168,29 @@ class TestMonteCarloSuites:
         assert seeds41 == seeds43
 
     @pytest.mark.parametrize(
-        "run, law, kwargs",
+        "run, law, kwargs, grid",
         [
-            (run_lln41, "mu_bias", dict(n_grid=[40, 80])),
-            (run_lln43, "mu_bias", dict(places=[2], n_grid=[40, 80])),
-            (run_prop44, "mu_rev", dict(places=[2], n_grid=[20, 40])),
-            (run_stationarity, "mu_rev", dict(p=2, radius_exponent=4, n=30)),
+            (run_lln41, "mu_bias", dict(n_grid=[40, 80]), None),
+            (run_lln43, "mu_bias", dict(places=[2], n_grid=[40, 80]), None),
+            (run_prop44, "mu_rev", dict(places=[2], n_grid=[20, 40]), None),
+            (run_stationarity, "mu_rev", dict(p=2, radius_exponent=4, n=30), None),
+            (run_lln41, "mu_bias", dict(n_grid=[40, 20, 40]), [20, 40]),
+            (run_lln43, "mu_bias", dict(places=[2], n_grid=[40, 20, 40]), [20, 40]),
+            (run_prop44, "mu_rev", dict(places=[2], n_grid=[40, 20, 40]), [20, 40]),
         ],
-        ids=["lln41", "lln43", "prop44", "stationarity"],
+        ids=["lln41", "lln43", "prop44", "stationarity",
+             "lln41-unsorted-grid", "lln43-unsorted-grid", "prop44-unsorted-grid"],
     )
-    def test_worker_count_invariance(self, request, run, law, kwargs):
-        # the pooled path yields each chunk as it arrives: same rows, same order
+    def test_worker_count_invariance(self, request, run, law, kwargs, grid):
+        # the pooled path yields each chunk as it arrives: same rows, same order;
+        # a grid suite sorts its grid and drops repeated points before any walk
         mu = request.getfixturevalue(law)
         r1 = run(mu, samples=12, seed=9, workers=1, **kwargs)
         r3 = run(mu, samples=12, seed=9, workers=3, **kwargs)
         assert render_csv(r1) == render_csv(r3)
+        if grid is not None:
+            normal = run(mu, samples=12, seed=9, workers=1, **{**kwargs, "n_grid": grid})
+            assert render_csv(r1) == render_csv(normal)
 
     def test_stationarity_small(self, mu_rev):
         rep = run_stationarity(
@@ -194,6 +202,13 @@ class TestMonteCarloSuites:
     def test_stationarity_rejects_expanding_prime(self, mu_bias):
         with pytest.raises(ValueError):
             run_stationarity(mu_bias, 2, radius_exponent=4, n=10, samples=5, seed=0)
+
+    def test_stationarity_rejects_infinite_place(self):
+        # the infinite place contracts here, but ball keys need a finite prime
+        mu = StepDistribution({AffineMap(F(1, 2), 1): F(1, 2), AffineMap(F(1, 3), 0): F(1, 2)})
+        assert experiments.drift_profile(mu).contracting() == {INFINITE_PLACE}
+        with pytest.raises(ValueError, match="^stationarity needs a finite prime$"):
+            run_stationarity(mu, INFINITE_PLACE, radius_exponent=4, n=10, samples=5, seed=0)
 
     def test_stationarity_lock_hits_step_cap(self, mu_rev, monkeypatch):
         # a 40-digit lock needs far more than the 10 steps the cap leaves
@@ -228,6 +243,20 @@ class TestMonteCarloSuites:
             run_stationarity(mu_rev, 2, radius_exponent=40, n=28, samples=2, seed=0)
         assert info.value.steps == 60
         assert len(walkers) == 1
+
+    def test_prop44_margin_checked_before_any_walk(self, mu_rev, monkeypatch):
+        # _probe rejects the margin too, but only after a full stabilization walk
+        walkers = []
+        walker_class = experiments._Walker
+
+        def counted(*args):
+            walkers.append(args)
+            return walker_class(*args)
+
+        monkeypatch.setattr(experiments, "_Walker", counted)
+        with pytest.raises(ValueError, match="margin must be at least 1"):
+            run_prop44(mu_rev, [2], n_grid=[10, 20], samples=2, seed=0, margin=0)
+        assert walkers == []
 
     @pytest.mark.parametrize("radius, n", [(6, 50), (4, 0), (4, 33)])
     def test_stationarity_replica_walks_its_row_steps(self, mu_rev, monkeypatch, radius, n):
@@ -278,13 +307,19 @@ class TestMonteCarloSuites:
             (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": -1}),
             (run_stationarity, {"p": 2, "radius_exponent": 4, "n": -3, "samples": 2}),
             (run_lln41, {"n_grid": [5], "samples": 2, "workers": 0}),
+            (run_lln41, {"n_grid": [2.5]}),
+            (run_lln43, {"n_grid": [10.0]}),
+            (run_prop44, {"places": [2], "n_grid": [10, 20.5]}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 10.5}),
             (divergence_statistic, {"place": INFINITE_PLACE, "n": 0, "samples": 2, "seed": 0}),
             (divergence_statistic, {"place": INFINITE_PLACE, "n": 5, "samples": 0, "seed": 0}),
             (increment_valuation_rate, {"p": 2, "n": 0, "seed": 0}),
         ],
         ids=["grid-zero", "grid-empty", "lln41-samples-0", "prop44-samples-0",
              "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative",
-             "stationarity-n-negative", "lln41-workers-0", "divergence-n-0",
+             "stationarity-n-negative", "lln41-workers-0", "lln41-grid-float",
+             "lln43-grid-integral-float", "prop44-grid-float", "stationarity-n-float",
+             "divergence-n-0",
              "divergence-samples-0", "increment-rate-n-0"],
     )
     def test_range_checks_raise_value_error(self, mu_rev, run, kwargs):
