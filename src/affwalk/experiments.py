@@ -190,9 +190,14 @@ def _pooled(jobs: list, workers: int) -> Iterator:
             yield from results
 
 
+def _is_int(value) -> bool:
+    """Whether a count or length argument is an integer; bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _grid(n_grid: Sequence[int]) -> list[int]:
     """The distinct grid points in increasing order; there is one, all positive integers."""
-    if not n_grid or not all(isinstance(n, int) and n >= 1 for n in n_grid):
+    if not n_grid or not all(_is_int(n) and n >= 1 for n in n_grid):
         raise ValueError("n grid must be positive integers")
     return sorted(set(n_grid))
 
@@ -268,6 +273,8 @@ def run_walk(
     mu: StepDistribution, n: int = 100, seed: int = 0, primes: Sequence[int] = ()
 ) -> Report:
     """Dump one trajectory's growth statistics (plot-ready)."""
+    if not _is_int(n):
+        raise ValueError("walk length must be an integer")
     if n < 0:
         raise ValueError("walk length must be nonnegative")
     primes = tuple(dict.fromkeys(primes))  # each prime counts once
@@ -312,6 +319,8 @@ def run_boundary(
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> Report:
     """Stabilized p-adic digits of one boundary point, with its probe verdict."""
+    if not _is_int(digits):
+        raise ValueError("digits must be an integer")
     if p == INFINITE_PLACE:
         raise ValueError("boundary digits need a finite prime")
     result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
@@ -486,7 +495,7 @@ def _prop44_replica(
 ) -> tuple[int, list[tuple[float, float]], tuple[Row]]:
     """(seed, height ratio and adelic rate at each grid point, the probe_miss row)."""
     walker, snaps = _grid_walk(encoding, seed, list(targets), n_stab)
-    rep, _, agreed = _probe(walker, margin, finite_probe, real_probe)
+    rep, agreed = _probe(walker, margin, finite_probe, real_probe)
     points = []
     for n, (a, z) in zip(targets, snaps):
         first = height(targets[n] / a) / n
@@ -587,6 +596,8 @@ def run_entropy(
     sublinear growth (trivial boundary) makes increments collapse well below
     H_n/n, while a positive entropy rate keeps them comparable.
     """
+    if not _is_int(n_max):
+        raise ValueError("n_max must be an integer")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rows = []
@@ -656,14 +667,17 @@ def _stationarity_replica(
     """(seed, ball keys of the tail point at steps 0 and n, lock index, probe verdict)."""
     walker = _Walker(encoding, seed)
     walker.advance(n)
-    a_n, z_n = walker.a, walker.z
+    slope, num, den = walker.state  # A_n = P_n / D_n, Z_n = N_n / (scale D_n)
     # lock the representative at a resolution fine enough for the tail at n;
     # p contracts, so it divides some atom's linear part and has a slot
     target = radius + max(walker.exponents[walker.primes.index(p)], 0) + 1
     _lock(walker, {p: target}, margin, step_cap)
     stab_index = walker.count
-    rep, _, [(_, probe_ok)] = _probe(walker, margin, {p: target})
-    keys = (ball_key_exact(rep, p, radius), ball_key_exact((rep - z_n) / a_n, p, radius))
+    rep, [(_, probe_ok)] = _probe(walker, margin, {p: target})
+    # (rep - Z_n) / A_n over one denominator; Fraction moves a negative P_n's sign up
+    r_num, r_den, scale = rep.numerator, rep.denominator, walker.scale
+    tail = Fraction(r_num * scale * den - num * r_den, r_den * scale * slope)
+    keys = (ball_key_exact(rep, p, radius), ball_key_exact(tail, p, radius))
     return seed, keys, stab_index, probe_ok
 
 
@@ -684,7 +698,7 @@ def run_stationarity(
     total-variation distance of the two histograms.  The threshold is a test
     calibration, not a derived quantity.
     """
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError("walk length must be an integer")
     if n < 0:
         raise ValueError("walk length must be nonnegative")

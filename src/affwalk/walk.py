@@ -32,7 +32,7 @@ from .exact import (
 )
 from .group import AffineMap
 from .measure import StepDistribution, drift_profile, validate
-from .padic import ball_key_exact, expand
+from .padic import expand
 from .prng import (
     LANES,
     cumulative_thresholds,
@@ -169,7 +169,7 @@ class _Walker:
     A_n = +-prod primes[j]**exponents[j].  With ``_floor[j]`` the lowest
     exponent so far (never above 0) and D = prod primes[j]**-_floor[j], the
     state keeps the integers N = Z_n * scale * D and D, and the slope integer
-    P = A_n * D (which carries the sign).
+    P = A_n * D (which carries the sign); ``state`` reads (P, N, D).
 
     ``step`` only reads the next atom of the current ``LANES``-draw batch and
     counts it; ``advance(m)`` counts m steps in one call, with the flush, bit
@@ -189,20 +189,20 @@ class _Walker:
     """
 
     __slots__ = (
-        "primes", "min_vb", "count", "_enc", "_batches", "_atoms", "_done",
-        "_exponents", "_scale", "_floor", "_p", "_n", "_d",
+        "primes", "min_vb", "scale", "count", "_enc", "_batches", "_atoms", "_done",
+        "_exponents", "_floor", "_p", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int):
         self.primes = enc.primes
         self.min_vb = enc.min_vb
+        self.scale = enc.scale
         self.count = 0
         self._enc = enc
         self._batches = _atom_batches(enc.thresholds, enc.offsets, seed)
         self._atoms = next(self._batches)
         self._done = 0  # steps applied to the state
         self._exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
-        self._scale = enc.scale
         self._floor = [0] * len(enc.primes)
         self._p = 1
         self._n = 0
@@ -285,7 +285,7 @@ class _Walker:
         d_bits = self._d.bit_length()
         bound = (
             self._p.bit_length() + self._n.bit_length()
-            + 2 * d_bits + self._scale.bit_length()
+            + 2 * d_bits + self.scale.bit_length()
         )
         if bound <= guard:
             return
@@ -301,6 +301,12 @@ class _Walker:
                 f"walk state reached {bits} bits at step {self.count}, guard is {guard}",
                 reached=bits,
             )
+
+    @property
+    def state(self) -> tuple[int, int, int]:
+        """(P, N, D): A_n = P / D and Z_n = N / (scale * D)."""
+        self._flush()
+        return self._p, self._n, self._d
 
     @property
     def exponents(self) -> list[int]:
@@ -323,7 +329,7 @@ class _Walker:
     @property
     def z(self) -> Fraction:
         self._flush()
-        return Fraction(self._n, self._scale * self._d)
+        return Fraction(self._n, self.scale * self._d)
 
 
 def sample_path(mu: StepDistribution, n: int, seed: int) -> Trajectory:
@@ -396,29 +402,33 @@ def _lock(
 
 def _probe(
     walker: _Walker, margin: int, targets: Mapping[int, int], real_bound: Optional[float] = None
-) -> tuple[Fraction, Fraction, list[tuple[Place, bool]]]:
-    """Z now, Z after ``margin`` more steps, and whether they agree per place.
+) -> tuple[Fraction, list[tuple[Place, bool]]]:
+    """Z now, and whether Z after ``margin`` more steps agrees with it per place.
 
     The agreement list holds, for each prime p with target t in increasing
-    p, whether both values lie in the same ball of radius p^-t.  With
-    ``real_bound`` it ends with R, which agrees while ln|Z after - Z now| is at
-    most that bound.
+    p, whether both values lie in the same ball of radius p^-t.  It is read
+    from the walker's integers: with Z = N / (scale D) now (N0, D0) and after
+    (N1, D1), the difference is (N1 D0 - N0 D1) / (scale D0 D1), and the
+    balls agree when its v_p is at least t (v_p(0) is inf).  With
+    ``real_bound`` the list ends with R, which agrees while ln|Z after - Z now|
+    is at most that bound.  The walker is left at Z after.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
-    rep = walker.z
+    scale = walker.scale
+    _, n0, d0 = walker.state
     step = walker.step
     for _ in range(margin):
         step()
-    after = walker.z
+    _, n1, d1 = walker.state
+    diff, den = n1 * d0 - n0 * d1, scale * d0 * d1
     agreed = [
-        (p, ball_key_exact(rep, p, t) == ball_key_exact(after, p, t))
-        for p, t in sorted(targets.items())
+        (p, valuation(diff, p) - valuation(den, p) >= t) for p, t in sorted(targets.items())
     ]
     if real_bound is not None:
-        close = after == rep or log_norm(after - rep, INFINITE_PLACE) <= real_bound
+        close = not diff or log_norm(Fraction(diff, den), INFINITE_PLACE) <= real_bound
         agreed.append((INFINITE_PLACE, close))
-    return rep, after, agreed
+    return Fraction(n0, scale * d0), agreed
 
 
 class BoundarySample(
@@ -489,7 +499,7 @@ def extract_boundary(
     walker = _Walker(_encode(mu), seed)
     _lock(walker, finite_targets, margin, step_cap, real)
     lock_index = walker.count
-    rep, after, probes = _probe(walker, margin, finite_targets, real_bound)
+    rep, probes = _probe(walker, margin, finite_targets, real_bound)
     real_interval = None
     if real_tol is not None:
         center = float(rep)
@@ -500,7 +510,7 @@ def extract_boundary(
         )
     return BoundarySample(
         value=rep,
-        probe_value=after,
+        probe_value=walker.z,
         real_interval=real_interval,
         stabilization_index=lock_index,
         probes=tuple(probes),

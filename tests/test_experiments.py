@@ -314,13 +314,24 @@ class TestMonteCarloSuites:
             (divergence_statistic, {"place": INFINITE_PLACE, "n": 0, "samples": 2, "seed": 0}),
             (divergence_statistic, {"place": INFINITE_PLACE, "n": 5, "samples": 0, "seed": 0}),
             (increment_valuation_rate, {"p": 2, "n": 0, "seed": 0}),
+            (run_walk, {"n": 2.5}),
+            (run_entropy, {"n_max": 2.5}),
+            (run_boundary, {"p": 2, "digits": 2.5}),
+            (run_lln41, {"n_grid": [True], "samples": 1}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": True, "samples": 2}),
+            (run_walk, {"n": True}),
+            (run_entropy, {"n_max": True}),
+            (run_boundary, {"p": 2, "digits": True}),
         ],
         ids=["grid-zero", "grid-empty", "lln41-samples-0", "prop44-samples-0",
              "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative",
              "stationarity-n-negative", "lln41-workers-0", "lln41-grid-float",
              "lln43-grid-integral-float", "prop44-grid-float", "stationarity-n-float",
              "divergence-n-0",
-             "divergence-samples-0", "increment-rate-n-0"],
+             "divergence-samples-0", "increment-rate-n-0", "walk-n-float",
+             "entropy-n-max-float", "boundary-digits-float", "lln41-grid-bool",
+             "stationarity-n-bool", "walk-n-bool", "entropy-n-max-bool",
+             "boundary-digits-bool"],
     )
     def test_range_checks_raise_value_error(self, mu_rev, run, kwargs):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from affwalk import (
     sample_path,
     valuation,
 )
-from affwalk import walk
+from affwalk import experiments, walk
 from affwalk.measure import drift_profile, validate
 from affwalk.padic import ball_key_exact
 from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
@@ -675,3 +675,86 @@ class TestLockOracle:
         )
         assert _state(scanned) == _state(stepped)
         assert [scanned.step() for _ in range(40)] == [stepped.step() for _ in range(40)]
+
+
+# a negative slope (P < 0), b = 0 atoms, several primes, and a b denominator
+# that a slope's prime divides (scale carries p)
+_PROBE_LAWS = [
+    [(F(-2), F(1, 3), 4), (F(1, 4), F(0), 1), (F(1, 2), F(-1), 1)],
+    [(F(2), F(0), 3), (F(1, 2), F(1), 1)],
+    [(F(2), F(1, 2), 3), (F(1, 2), F(-1, 4), 1)],
+    [(F(-6), F(1, 5), 4), (F(1, 3), F(1), 1), (F(1, 2), F(0), 1)],
+    _MIXED,
+]
+
+
+class TestProbeOracle:
+    """``_probe`` decides from the walker's integers what ball keys decide on Z."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _atoms,
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 80),
+        st.integers(1, 40),
+        st.one_of(st.none(), st.floats(-6, 2)),
+        st.data(),
+    )
+    @example(_PROBE_LAWS[0], 3, 5, 6, None, None)
+    @example(_PROBE_LAWS[1], 9, 0, 8, None, None)
+    @example(_PROBE_LAWS[2], 1, 17, 32, -1.0, None)
+    @example(_PROBE_LAWS[3], 7, 40, 3, None, None)
+    @example(_MIXED, 5, 0, 32, 0.5, None)
+    def test_matches_fraction_ball_keys(self, atoms, seed, before, margin, real_bound, data):
+        mu = _measure(atoms)
+        enc = _encode(mu)
+        if data is None:  # the explicit examples probe every prime at every target
+            choices = [dict.fromkeys(enc.primes, t) for t in range(-3, 9)]
+        else:
+            chosen = data.draw(
+                st.lists(st.sampled_from(enc.primes), unique=True) if enc.primes else st.just([])
+            )
+            choices = [{p: data.draw(st.integers(-3, 8)) for p in chosen}]
+        for targets in choices:
+            probed, twin = _Walker(enc, seed), _Walker(enc, seed)
+            probed.advance(before)
+            twin.advance(before)
+            rep, agreed = walk._probe(probed, margin, targets, real_bound)
+            now = twin.z
+            twin.advance(margin)
+            after = twin.z
+            expected = [
+                (p, ball_key_exact(now, p, t) == ball_key_exact(after, p, t))
+                for p, t in sorted(targets.items())
+            ]
+            if real_bound is not None:
+                close = after == now or log_norm(after - now, INFINITE_PLACE) <= real_bound
+                expected.append((INFINITE_PLACE, close))
+            assert rep == now
+            assert agreed == expected
+            assert _state(probed) == _state(twin)
+
+    @pytest.mark.parametrize(
+        "law, p",
+        [(_PROBE_LAWS[0], 2), (_PROBE_LAWS[2], 2), (_PROBE_LAWS[3], 2), (_PROBE_LAWS[3], 3)],
+    )
+    @pytest.mark.parametrize("n", [0, 7, 40])
+    def test_stationarity_tail_key(self, law, p, n):
+        # the replica's tail key is that of (rep - Z_n) / A_n read in Fractions
+        enc = _encode(_measure(law))
+        radius, margin = 4, 8
+        for i in range(25):
+            seed = replica_seed(11, i)
+            walker = _Walker(enc, seed)
+            walker.advance(n)
+            a_n, z_n = walker.a, walker.z
+            target = radius + max(valuation(a_n, p), 0) + 1
+            walk._lock(walker, {p: target}, margin, walk.DEFAULT_STEP_CAP)
+            rep = walker.z
+            tail = (rep - z_n) / a_n
+            expected = (ball_key_exact(rep, p, radius), ball_key_exact(tail, p, radius))
+            _, keys, _, _ = experiments._stationarity_replica(
+                seed, encoding=enc, p=p, radius=radius, n=n, margin=margin,
+                step_cap=walk.DEFAULT_STEP_CAP,
+            )
+            assert keys == expected
