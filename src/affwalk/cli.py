@@ -9,10 +9,10 @@ range check is the runner's own.
 
 Exit codes: 0 pass, 1 bound-check fail, 2 config error (including
 non-numeric, non-finite and, where an integer is required, non-integral
-values, a worker count below 1, an entropy cell budget below 1 and an
-``--out`` path that cannot be written), 3 resource budget exceeded
-(including walks that fail to stabilize within their step cap, an entropy
-table truncated before its second step, and an infinite-drift sign
+values and JSON booleans, a worker count below 1, an entropy cell budget
+below 1 and an ``--out`` path that cannot be written), 3 resource budget
+exceeded (including walks that fail to stabilize within their step cap, an
+entropy table truncated before its second step, and an infinite-drift sign
 undecided within its digit budget).
 """
 
@@ -27,7 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import BudgetError, ConfigError, StabilizationError
-from .exact import INFINITE_PLACE, parse_place
+from .exact import INFINITE_PLACE, _require_count, parse_place
 from .experiments import (  # run_<command> is looked up by name in _dispatch
     Report,
     render_csv,
@@ -77,8 +77,8 @@ def _finite(value) -> float:
 
 
 def _integral(value) -> int:
-    """``int(value)``, except that a float with a fractional part is rejected."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, except that a bool or a float with a fractional part is rejected."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value} is not an integer")
     return int(value)
 
@@ -237,9 +237,7 @@ def _dispatch(args, cfg: dict) -> Report:
         if key not in kwargs:
             raise ConfigError(f"{cmd} needs --{params[key][0]} or a {cmd}.{key} config entry")
     if args.workers is not None:
-        workers = _coerce("workers", args.workers, _integral)
-        if workers < 1:
-            raise ConfigError("worker count must be at least 1")
+        workers = _require_count(_coerce("workers", args.workers, _integral), "worker count", 1)
         if "samples" in params:  # the suites with replicas fan them out
             kwargs["workers"] = workers
     # looked up at call time, so a wrapper installed on this module is the one run

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Optional, Union
 
 from .errors import BudgetError
 
@@ -80,12 +81,14 @@ _RHO_STEPS = 1 << 20
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set).
 
     Exact below ``_MR_BOUND``.  At or above it a witness may still prove n
     composite; an n that passes every witness raises ``BudgetError``, since
-    the set cannot certify it prime.
+    the set cannot certify it prime.  Verdicts are memoized, so a place is
+    certified once per process; a raised ``BudgetError`` is not.
     """
     if n < 2:
         return False
@@ -112,6 +115,19 @@ def is_prime(n: int) -> bool:
     if n >= _MR_BOUND:
         raise BudgetError(f"cannot certify that a {n.bit_length()}-bit integer is prime")
     return True
+
+
+def _require_count(value, what: str, least: Optional[int] = 0) -> int:
+    """``value`` if it is an int, not a bool, of at least ``least`` (None: any sign).
+
+    The one check of every count, length, depth and budget argument; anything
+    else raises ``ValueError`` before any work starts.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return value
 
 
 def _require_finite_prime(p: Place) -> int:

@@ -24,6 +24,7 @@ from .errors import BudgetError, StabilizationError
 from .exact import (
     INFINITE_PLACE,
     Place,
+    _require_count,
     format_place,
     format_rational,
     height,
@@ -168,11 +169,8 @@ def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers:
     keyword arguments, so a job pickles it by name.  The pool never exceeds
     the CPU count or the number of chunks.
     """
-    if samples < 1:
-        raise ValueError("sample count must be at least 1")
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
-    workers = min(workers, os.cpu_count() or 1)
+    _require_count(samples, "sample count", 1)
+    workers = min(_require_count(workers, "worker count", 1), os.cpu_count() or 1)
     if workers <= 1:
         return map(fn, map(partial(replica_seed, base_seed), range(samples)))
     chunk = max(1, math.ceil(samples / (workers * 4)))
@@ -190,16 +188,11 @@ def _pooled(jobs: list, workers: int) -> Iterator:
             yield from results
 
 
-def _is_int(value) -> bool:
-    """Whether a count or length argument is an integer; bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _grid(n_grid: Sequence[int]) -> list[int]:
     """The distinct grid points in increasing order; there is one, all positive integers."""
-    if not n_grid or not all(_is_int(n) and n >= 1 for n in n_grid):
-        raise ValueError("n grid must be positive integers")
-    return sorted(set(n_grid))
+    if not n_grid:
+        raise ValueError("n grid must not be empty")
+    return sorted({_require_count(n, "grid point", 1) for n in n_grid})
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +266,7 @@ def run_walk(
     mu: StepDistribution, n: int = 100, seed: int = 0, primes: Sequence[int] = ()
 ) -> Report:
     """Dump one trajectory's growth statistics (plot-ready)."""
-    if not _is_int(n):
-        raise ValueError("walk length must be an integer")
-    if n < 0:
-        raise ValueError("walk length must be nonnegative")
+    _require_count(n, "walk length")
     primes = tuple(dict.fromkeys(primes))  # each prime counts once
     walker = _Walker(_encode(mu), seed)
     places = [(p, str(p)) for p in primes]
@@ -319,8 +309,6 @@ def run_boundary(
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> Report:
     """Stabilized p-adic digits of one boundary point, with its probe verdict."""
-    if not _is_int(digits):
-        raise ValueError("digits must be an integer")
     if p == INFINITE_PLACE:
         raise ValueError("boundary digits need a finite prime")
     result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
@@ -526,10 +514,8 @@ def run_prop44(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if stab_factor < 1:
-        raise ValueError("stab_factor must be at least 1")
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
+    _require_count(stab_factor, "stab_factor", 1)
+    _require_count(margin, "margin", 1)
     places = tuple(dict.fromkeys(places))  # each place counts once
     if not places:
         raise ValueError("prop44 needs a non-empty place list")
@@ -596,14 +582,11 @@ def run_entropy(
     sublinear growth (trivial boundary) makes increments collapse well below
     H_n/n, while a positive entropy rate keeps them comparable.
     """
-    if not _is_int(n_max):
-        raise ValueError("n_max must be an integer")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_count(n_max, "n_max", 1)
     rows = []
     entropies = [0.0]
     truncated_at: Optional[int] = None
-    table = power(mu, 0, cell_budget)  # raises ValueError for a budget below 1
+    table = power(mu, 0, cell_budget)  # raises ValueError for a bad budget
     step = power(mu, 1)
     for n in range(1, n_max + 1):
         try:
@@ -698,17 +681,14 @@ def run_stationarity(
     total-variation distance of the two histograms.  The threshold is a test
     calibration, not a derived quantity.
     """
-    if not _is_int(n):
-        raise ValueError("walk length must be an integer")
-    if n < 0:
-        raise ValueError("walk length must be nonnegative")
+    _require_count(n, "walk length")
+    _require_count(radius_exponent, "radius_exponent", None)
+    _require_count(margin, "margin", 1)
     if p == INFINITE_PLACE:
         raise ValueError("stationarity needs a finite prime")
     profile = drift_profile(mu)
     if profile.exact().get(p, Fraction(0)) <= 0:
         raise ValueError(f"prime {p} does not contract")
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
     if n + margin > DEFAULT_STEP_CAP:  # a lock holds for margin steps past the prefix
         raise StabilizationError(f"no lock within {DEFAULT_STEP_CAP} steps", steps=DEFAULT_STEP_CAP)
     replica = partial(

@@ -23,6 +23,7 @@ from .errors import BudgetError, ConfigError
 from .exact import (
     INFINITE_PLACE,
     Place,
+    _require_count,
     _Value,
     format_rational,
     parse_rational,
@@ -244,8 +245,7 @@ def q_approximant(profile: DriftProfile, n: int) -> Fraction:
     q_n = prod over p of p^(-floor(n * phi_p / ln p)), with the floor taken
     on the exact rational n * (-vp_mean), never on a float.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_count(n, "n")
     q = Fraction(1)
     for p, c in profile.vp_means:
         if c == 0:
@@ -284,11 +284,6 @@ class ConvolutionTable(namedtuple("ConvolutionTable", "groups total n")):
         return sum(len(counts) for _, counts in self.groups.values())
 
 
-def _check_budget(cell_budget: int) -> None:
-    if cell_budget < 1:
-        raise ValueError("cell_budget must be at least 1")
-
-
 def _step_table(mu: StepDistribution) -> ConvolutionTable:
     """The one-step law as counts over the lcm of the weight denominators."""
     total = math.lcm(*(w.denominator for w in mu.weights))
@@ -316,7 +311,7 @@ def convolve(
     their L values.  A cell is then b * D = x1 * (D / D1) + y2 * a_num1 *
     (D / (a_den1 * D2)) with count c1*c2: integer arithmetic only.
     """
-    _check_budget(cell_budget)
+    _require_count(cell_budget, "cell_budget", 1)
     cells = t1.support_size * t2.support_size
     if cells > cell_budget:
         raise BudgetError(
@@ -351,9 +346,8 @@ def power(
     mu: StepDistribution, n: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> ConvolutionTable:
     """Exact law of the n-step walk increment product."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_budget(cell_budget)
+    _require_count(n, "n")
+    _require_count(cell_budget, "cell_budget", 1)
     acc = ConvolutionTable({(1, 1): (1, {0: 1})}, 1, 0)
     step = _step_table(mu)
     for _ in range(n):

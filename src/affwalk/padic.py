@@ -11,7 +11,7 @@ measures on Q_p.
 
 from __future__ import annotations
 
-from .exact import _require_finite_prime, _terms, _terms_valuation, _Value
+from .exact import _require_count, _require_finite_prime, _terms, _terms_valuation, _Value
 
 __all__ = ["PadicExpansion"]
 
@@ -66,8 +66,7 @@ def expand(q, p: int, n_digits: int) -> PadicExpansion:
     loop).
     """
     p = _require_finite_prime(p)
-    if n_digits < 1:
-        raise ValueError("precision must be at least 1")
+    _require_count(n_digits, "precision", 1)
     num, den = _terms(q)
     if num == 0:
         return PadicExpansion(p, 0, (0,) * n_digits)
@@ -88,6 +87,7 @@ def ball_key_exact(q, p: int, radius_exponent: int) -> tuple:
     modulo p^(radius - v), or (p, radius, radius, 0) for the ball around 0.
     """
     p = _require_finite_prime(p)
+    _require_count(radius_exponent, "radius_exponent", None)
     num, den = _terms(q)
     if num:
         v = _terms_valuation(num, den, p)

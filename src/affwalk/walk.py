@@ -25,6 +25,7 @@ from .exact import (
     INFINITE_PLACE,
     INFINITE_VALUATION,
     Place,
+    _require_count,
     format_place,
     log_norm,
     prime_factors,
@@ -317,14 +318,7 @@ class _Walker:
     @property
     def a(self) -> Fraction:
         self._flush()
-        negative = self._p < 0
-        num = den = 1
-        for p, v in zip(self.primes, self._exponents):
-            if v > 0:
-                num *= p**v
-            elif v < 0:
-                den *= p**-v
-        return Fraction(-num if negative else num, den)
+        return Fraction(self._p, self._d)
 
     @property
     def z(self) -> Fraction:
@@ -337,8 +331,7 @@ def sample_path(mu: StepDistribution, n: int, seed: int) -> Trajectory:
     report = validate(mu)
     if report.degenerate:
         raise DegenerateMeasureError(report.reason or "degenerate step law")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    _require_count(n, "length")
     step = _Walker(_encode(mu), seed).step
     return Trajectory(seed, tuple(mu.support[step()] for _ in range(n)))
 
@@ -413,8 +406,7 @@ def _probe(
     ``real_bound`` the list ends with R, which agrees while ln|Z after - Z now|
     is at most that bound.  The walker is left at Z after.
     """
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
+    _require_count(margin, "margin", 1)
     scale = walker.scale
     _, n0, d0 = walker.state
     step = walker.step
@@ -545,8 +537,7 @@ def boundary_digits(
     continuation probe extends by another ``margin`` steps and re-expands;
     agreement is recorded in ``probe_agreed``.
     """
-    if n_digits < 1:
-        raise ValueError("precision must be at least 1")
+    _require_count(n_digits, "precision", 1)
     target = n_digits + 1  # one exponent of headroom over the digit window
     sample = extract_boundary(
         mu, seed, finite_targets={p: target}, margin=margin, step_cap=step_cap
@@ -623,8 +614,8 @@ def divergence_statistic(
     approaches the positive part of the drift, witnessing that |Z_n|_p does
     not stay bounded.  Contracting places are rejected.
     """
-    if n < 1 or samples < 1:
-        raise ValueError("length and sample count must be at least 1")
+    _require_count(n, "length", 1)
+    _require_count(samples, "sample count", 1)
     if place in drift_profile(mu).contracting():
         raise ValueError(f"place {format_place(place)} contracts; statistic undefined")
     # ln|A_{k-1} b_k|_p = (v(A_{k-1}) + v(b_k)) * scale
@@ -658,8 +649,7 @@ def increment_valuation_rate(mu: StepDistribution, p: int, n: int, seed: int) ->
     geometric decay of the tail.  Returned in nats: v_p * ln(p) / n.  Raises
     StabilizationError when none of the ``_SEARCH_CAP`` steps after n moves.
     """
-    if n < 1:
-        raise ValueError("length must be at least 1")
+    _require_count(n, "length", 1)
     if p == INFINITE_PLACE:
         raise ValueError("the increment valuation needs a finite prime")
     if all(g.b == 0 for g in mu.support):

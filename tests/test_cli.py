@@ -217,12 +217,16 @@ class TestExitCodes:
             (None, ["--replicas", "1.5", "lln41"]),
             (None, ["--workers", "abc", "drift"]),
             (None, ["--workers", "0", "drift"]),
+            ({"walk": {"n": True}}, ["walk"]),
+            ({"lln41": {"samples": True, "n_grid": [3]}}, ["lln41"]),
+            ({"lln41": {"samples": 2, "n_grid": [True, 3]}}, ["lln41"]),
+            ({"walk": {"seed": False}}, ["walk"]),
         ],
         ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0", "stab-factor-0",
              "walk-n-negative", "n-max-negative", "n-non-integral",
              "n-flag-non-integral", "grid-non-integral", "samples-non-integral",
              "seed-non-integral", "seed-flag-abc", "replicas-flag-non-integral",
-             "workers-abc", "workers-0"],
+             "workers-abc", "workers-0", "n-bool", "samples-bool", "grid-bool", "seed-bool"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, section, argv):
         cfg = tmp_path / "cfg.json"

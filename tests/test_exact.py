@@ -16,6 +16,7 @@ from affwalk import (
 )
 from affwalk.exact import (
     INFINITE_VALUATION,
+    _require_count,
     format_place,
     format_rational,
     is_prime,
@@ -25,7 +26,9 @@ from affwalk.exact import (
     support_primes,
 )
 from affwalk.experiments import _partial_plus
+from affwalk.measure import power
 from affwalk.padic import ball_key_exact, expand
+from affwalk.walk import boundary_digits, sample_path
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-(10**9)), max_value=Fraction(10**9), max_denominator=10**9
@@ -175,6 +178,20 @@ class TestPrimes:
         with pytest.raises(BudgetError):
             prime_factors(psi13)
 
+    def test_verdicts_are_memoized_but_budget_errors_are_not(self):
+        is_prime.cache_clear()
+        for _ in range(3):
+            assert valuation(17**3 * 5, 17) == 3
+        assert is_prime.cache_info()[:2] == (2, 1)  # hits, misses: 17 is certified once
+        psi13 = 3317044064679887385961981
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="cannot certify"):
+                is_prime(psi13)
+        assert is_prime.cache_info()[1:] == (3, 1024, 1)  # misses, maxsize, size
+        # verdicts are keyed by type: 17's does not answer for 17.0, which pow() rejects
+        with pytest.raises(TypeError):
+            is_prime(17.0)
+
     def test_composite_above_the_bound_still_factors(self):
         # a witness proves the product composite, and rho splits it
         assert prime_factors((2**61 - 1) * (2**31 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
@@ -208,6 +225,46 @@ class TestParsing:
 
 class _Int(int):
     pass
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize(
+        "value, least, message",
+        [
+            (2.5, 0, "n must be an integer"),
+            (3.0, 0, "n must be an integer"),
+            (True, 0, "n must be an integer"),
+            ("3", 0, "n must be an integer"),
+            (None, None, "n must be an integer"),
+            (-1, 0, "n must be at least 0"),
+            (0, 1, "n must be at least 1"),
+        ],
+        ids=repr,
+    )
+    def test_rejects(self, value, least, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _require_count(value, "n", least)
+
+    def test_accepts_integers(self):
+        assert _require_count(0, "n") == 0
+        assert _require_count(-7, "n", None) == -7
+        assert _require_count(_Int(5), "n", 5) == 5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mu: power(mu, 2.5),
+            lambda mu: power(mu, 1, cell_budget=True),
+            lambda mu: expand(Fraction(1, 3), 2, 2.5),
+            lambda mu: ball_key_exact(Fraction(1, 3), 2, 2.5),
+            lambda mu: sample_path(mu, 2.5, 0),
+            lambda mu: boundary_digits(mu, 2, 2.5, 0),
+        ],
+        ids=["power-n", "power-budget", "expand", "ball-key", "sample-path", "boundary-digits"],
+    )
+    def test_direct_callers_reject_non_integers(self, mu_rev, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(mu_rev)
 
 
 @pytest.mark.parametrize(

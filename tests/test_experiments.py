@@ -322,6 +322,15 @@ class TestMonteCarloSuites:
             (run_walk, {"n": True}),
             (run_entropy, {"n_max": True}),
             (run_boundary, {"p": 2, "digits": True}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": 2.5}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": True}),
+            (run_stationarity, {"p": 2, "radius_exponent": 4, "n": 5, "samples": 2,
+                                "workers": 1.5}),
+            (run_stationarity, {"p": 2, "radius_exponent": 2.5, "n": 5, "samples": 2}),
+            (run_stationarity, {"p": 2, "radius_exponent": True, "n": 5, "samples": 2}),
+            (run_prop44, {"places": [2], "n_grid": [5], "samples": 1, "margin": 2.5}),
+            (run_prop44, {"places": [2], "n_grid": [5], "samples": 1, "stab_factor": True}),
+            (run_entropy, {"n_max": 2, "cell_budget": 2.5}),
         ],
         ids=["grid-zero", "grid-empty", "lln41-samples-0", "prop44-samples-0",
              "prop44-no-places", "stationarity-samples-0", "stationarity-samples-negative",
@@ -331,7 +340,10 @@ class TestMonteCarloSuites:
              "divergence-samples-0", "increment-rate-n-0", "walk-n-float",
              "entropy-n-max-float", "boundary-digits-float", "lln41-grid-bool",
              "stationarity-n-bool", "walk-n-bool", "entropy-n-max-bool",
-             "boundary-digits-bool"],
+             "boundary-digits-bool", "stationarity-samples-float",
+             "stationarity-samples-bool", "stationarity-workers-float",
+             "stationarity-radius-float", "stationarity-radius-bool", "prop44-margin-float",
+             "prop44-stab-factor-bool", "entropy-cell-budget-float"],
     )
     def test_range_checks_raise_value_error(self, mu_rev, run, kwargs):
         with pytest.raises(ValueError):
