@@ -77,8 +77,8 @@ DEFAULT_FREQ_THRESHOLD_PROP44 = 0.9
 DEFAULT_FINAL_BOUND_LLN41 = 0.05 * math.log(2)
 SEED_RULE = "seed_i = seed XOR mix64(i)"
 
-# rows per joined block of CSV text
-_CSV_CHUNK_ROWS = 1024
+# rows per joined block of CSV or JSON text
+_CHUNK_ROWS = 1024
 
 
 Row = namedtuple("Row", "experiment p n seed statistic value")
@@ -99,7 +99,7 @@ def _dumps(obj) -> str:
 def render_csv(report: Report) -> str:
     """Deterministic CSV: config and summary as comments, then the rows.
 
-    The rows are joined ``_CSV_CHUNK_ROWS`` at a time and the chunks once at
+    The rows are joined ``_CHUNK_ROWS`` at a time and the chunks once at
     the end, so the heap never holds a list of every line beside the text.
     """
     lines = [
@@ -116,28 +116,46 @@ def render_csv(report: Report) -> str:
     rows = iter(report.rows)
     while chunk := [
         f"{r.experiment},{r.p},{r.n},{r.seed},{r.statistic},{r.value!r}"
-        for r in islice(rows, _CSV_CHUNK_ROWS)
+        for r in islice(rows, _CHUNK_ROWS)
     ]:
         chunks.append("\n".join(chunk))
     chunks.append("")  # the final newline, without a copy of the text
     return "\n".join(chunks)
 
 
+def _json_row(r: Row) -> dict:
+    row = r._asdict()
+    if isinstance(r.value, float) and not math.isfinite(r.value):
+        row["value"] = repr(r.value)
+    return row
+
+
 def render_json(report: Report) -> str:
-    """Deterministic JSON (RFC 8259): a non-finite row value is written as the CSV writes it."""
-    rows = [r._asdict() for r in report.rows]
-    for row in rows:
-        if isinstance(row["value"], float) and not math.isfinite(row["value"]):
-            row["value"] = repr(row["value"])
+    """Deterministic JSON (RFC 8259): a non-finite row value is written as the CSV writes it.
+
+    The text is ``json.dumps(..., sort_keys=True, indent=2)`` of the whole
+    report, but the rows are encoded ``_CHUNK_ROWS`` at a time and every
+    piece is joined once at the end, so the heap never holds a dict per row.
+    """
     payload = {
         "name": report.name,
         "config": report.config,
         "summary": report.summary,
         "notes": report.notes,
         "passed": report.passed,
-        "rows": rows,
+        "rows": [],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # no JSON string holds a raw newline, so this is the top-level "rows" key
+    head, _, tail = json.dumps(payload, sort_keys=True, indent=2).partition('\n  "rows": []')
+    pieces = [head, '\n  "rows": [']
+    rows = iter(report.rows)
+    while chunk := [_json_row(r) for r in islice(rows, _CHUNK_ROWS)]:
+        # "[\n  {...},\n  {...}\n]" without its brackets, two spaces deeper
+        text = json.dumps(chunk, sort_keys=True, indent=2)[1:-2].replace("\n", "\n  ")
+        pieces.append(text if len(pieces) == 2 else "," + text)
+    pieces.append("\n  ]" if len(pieces) > 2 else "]")
+    pieces.append(tail + "\n")
+    return "".join(pieces)
 
 
 def _partial_plus(z: Fraction, places: Iterable[Place]) -> float:

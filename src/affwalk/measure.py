@@ -310,6 +310,12 @@ def convolve(
     L = lcm(D1, a_den1 * D2); the pairs that land on one a share the lcm D of
     their L values.  A cell is then b * D = x1 * (D / D1) + y2 * a_num1 *
     (D / (a_den1 * D2)) with count c1*c2: integer arithmetic only.
+
+    Each output group is a sum of terms, one per input group and step-table
+    entry: keys x * m1 + shift, counts c1 * c2.  A term with m1 = 1 and
+    shift = 0 keeps its keys, so the group starts as a copy of the largest
+    such term (or of its first term, re-keyed, when none keeps its keys) and
+    every other term adds in cell by cell.  No input dict is reused.
     """
     _require_count(cell_budget, "cell_budget", 1)
     cells = t1.support_size * t2.support_size
@@ -319,7 +325,7 @@ def convolve(
             reached=cells,
         )
     gcd, lcm = math.gcd, math.lcm
-    pairs = []
+    pairs: dict[tuple[int, int], list] = {}
     dens: dict[tuple[int, int], int] = {}
     for (an1, ad1), (d1, xs) in t1.groups.items():
         for (an2, ad2), (d2, ys) in t2.groups.items():
@@ -327,18 +333,37 @@ def convolve(
             g = gcd(an, ad)
             key = (an // g, ad // g)
             dens[key] = lcm(dens.get(key, 1), d1, ad1 * d2)
-            pairs.append((key, xs, d1, ys, an1, ad1 * d2))
-    out = {key: (den, {}) for key, den in dens.items()}
-    for key, xs, d1, ys, an1, ad1_d2 in pairs:
-        den, counts = out[key]
+            pairs.setdefault(key, []).append((xs, d1, ys, an1, ad1 * d2))
+    out = {}
+    for key, den in dens.items():
+        terms = []
+        base = None
+        for xs, d1, ys, an1, ad1_d2 in pairs[key]:
+            m1 = den // d1
+            m2 = an1 * (den // ad1_d2)
+            for y, c2 in ys.items():
+                term = (xs, m1, y * m2, c2)
+                terms.append(term)
+                if m1 == 1 and y == 0 and (base is None or len(xs) > len(base[0])):
+                    base = term
+        if base is None:
+            base = terms[0]
+        xs, m1, shift, c2 = base
+        if m1 != 1 or shift:
+            counts = {x * m1 + shift: c1 * c2 for x, c1 in xs.items()}
+        elif c2 == 1:
+            counts = dict(xs)
+        else:
+            counts = {x: c1 * c2 for x, c1 in xs.items()}
         get = counts.get
-        m1 = den // d1
-        m2 = an1 * (den // ad1_d2)
-        for y, c2 in ys.items():
-            shift = y * m2
+        for term in terms:
+            if term is base:
+                continue
+            xs, m1, shift, c2 = term
             for x, c1 in xs.items():
                 k = x * m1 + shift
                 counts[k] = get(k, 0) + c1 * c2
+        out[key] = (den, counts)
     return ConvolutionTable(out, t1.total * t2.total, t1.n + t2.n)
 
 

@@ -90,6 +90,41 @@ class TestRendering:
         assert text.count("\n") == 30_000 + 5
         assert peak - start <= 2.5 * len(text)
 
+    def test_json_heap_peak_is_under_three_times_the_text(self):
+        # rows are encoded a chunk at a time, so no dict per row sits beside the text
+        rows = [
+            Row("stationarity", "2", i % 50, replica_seed(0, i), "ball_bucket", i / 7)
+            for i in range(30_000)
+        ]
+        report = Report("stationarity", {"seed": 0}, rows, {"x": 1.5}, True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            text = render_json(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(text)["rows"]) == 30_000
+        assert peak - start <= 3 * len(text)
+
+    @pytest.mark.parametrize("count", [0, 1, 1024, 1025, 2049])
+    def test_json_matches_one_dumps_of_the_report(self, count):
+        rows = [Row("demo", "2", i, i, "stat", [0.5, math.nan, -math.inf][i % 3]) for i in range(count)]
+        report = Report("demo", {"rows": [], "n": {"rows": []}}, rows, {"h": math.inf}, None, ("a",))
+        want = [r._asdict() for r in rows]
+        for row in want:
+            if not math.isfinite(row["value"]):
+                row["value"] = repr(row["value"])
+        payload = {
+            "name": "demo",
+            "config": report.config,
+            "summary": report.summary,
+            "notes": report.notes,
+            "passed": None,
+            "rows": want,
+        }
+        assert render_json(report) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
     def test_json_parses_and_sorts(self):
         blob = json.loads(render_json(self._report()))
         assert blob["name"] == "demo"

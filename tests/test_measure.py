@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 from decimal import Decimal, localcontext
@@ -300,6 +301,11 @@ class TestConvolution:
     # pairs land on a = 1/2 over four different lcms
     @example([(F(1), F(1, 2), 1), (F(1, 2), F(2, 7), 1), (F(-2), F(1, 3), 1)], 1, 1)
     @example([(F(1), F(1, 2), 1), (F(1, 2), F(2, 7), 1), (F(-2), F(1, 3), 1)], 3, 2)
+    # a b = 0 atom at count 1 (its terms are copied as they are), at count 3
+    # (copied with their counts scaled), and a law with no b = 0 atom
+    @example([(F(2), F(0), 1), (F(1, 2), F(1), 1)], 4, 3)
+    @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 4, 3)
+    @example([(F(3), F(1), 1), (F(1, 2), F(1, 3), 1), (F(2), F(-1), 1)], 3, 2)
     def test_convolve_multi_entry_tables(self, atoms, i, j):
         total = sum(w for _, _, w in atoms)
         mu = StepDistribution([((a, b), F(w, total)) for a, b, w in atoms])
@@ -319,6 +325,10 @@ class TestConvolution:
     @settings(max_examples=60, deadline=None)
     # weights 1/4, 1/6, 7/12: three denominators over the lcm 12
     @example([(F(-2), F(1, 3), 3), (F(1, 3), F(0), 2), (F(5, 2), F(-1), 7)])
+    # b = 0 atoms at counts 1 and 3 over 4, and a law with no b = 0 atom
+    @example([(F(2), F(0), 1), (F(1, 2), F(1), 1)])
+    @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)])
+    @example([(F(3), F(1), 1), (F(1, 2), F(1, 3), 1), (F(2), F(-1), 1)])
     def test_matches_fraction_reference(self, atoms):
         total = sum(w for _, _, w in atoms)
         mu = StepDistribution([((a, b), F(w, total)) for a, b, w in atoms])
@@ -329,6 +339,16 @@ class TestConvolution:
             assert table.support_size == len(ref)
             assert entropy(table) == _reference_entropy(ref)
             ref = _reference_convolve(ref, dict(mu.atoms))
+
+    def test_convolve_never_aliases_its_inputs(self, mu_sym):
+        left, step = power(mu_sym, 5), power(mu_sym, 1)
+        for t1, t2 in ((left, step), (step, left), (left, left)):
+            before = copy.deepcopy((t1.groups, t2.groups))
+            out = convolve(t1, t2)
+            assert (t1.groups, t2.groups) == before
+            inputs = {id(counts) for t in (t1, t2) for _, counts in t.groups.values()}
+            assert not any(id(counts) in inputs for _, counts in out.groups.values())
+            assert out.as_dict() == _reference_convolve(t1.as_dict(), t2.as_dict())
 
     def test_support_growth_quadratic(self, mu_sym):
         # walk group is metabelian: supports grow polynomially, not 2^n

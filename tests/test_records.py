@@ -33,11 +33,13 @@ def _law():
     return StepDistribution({AffineMap(2, 0): F(3, 4), AffineMap(F(1, 2), 1): F(1, 4)})
 
 
-def _report(**extra) -> Report:
+def _report(rows=None, **extra) -> Report:
+    if rows is None:
+        rows = [Row("demo", "2", 10, 123, "stat", 0.5), Row("demo", "", 20, 124, "stat", 0.1 + 0.2)]
     return Report(
         "demo",
         {"measure": {"atoms": [["a=1/2;b=1", "1/4"]]}, "seed": 7},
-        [Row("demo", "2", 10, 123, "stat", 0.5), Row("demo", "", 20, 124, "stat", 0.1 + 0.2)],
+        rows,
         {"mean": -1.25, "count": 2},
         **extra,
     )
@@ -156,10 +158,27 @@ def test_record_pickle_round_trip(record):
             "2ffa03b841f939801883924bcde364ad83569f3171d8779ef466e3298546c1cd",
             "2234f5636cda280fcee9dddd6c481967264aba6dae38322a92b74386d84f97fe",
         ),
+        (
+            {"rows": []},
+            "466a4de73c9f87977210df669e38dac9f5908dab641669420adb7826d6fbc18f",
+            "0c51c69027bc6c758320f77522a124ed806aa8f2884a3fbb3e53005e6e190e47",
+        ),
+        (
+            {
+                "rows": [
+                    Row("demo", "2", 10, 123, "stat", float("nan")),
+                    Row("demo", "", 20, 124, "stat", float("-inf")),
+                    Row("demo", "3", 30, 125, "stat", float("inf")),
+                ]
+            },
+            "68665207e9d23b3cd7d6a1c68fe9a5f691e1787ec815a3396c29b8378198cc6d",
+            "64bdcc7893246731e4fd77ddfea1c1cac616a01ea630a5af4a751520b50160a1",
+        ),
     ],
-    ids=["defaults", "notes-and-verdict"],
+    ids=["defaults", "notes-and-verdict", "empty-rows", "non-finite-values"],
 )
 def test_report_bytes_are_pinned(extra, csv_sha, json_sha):
     report = _report(**extra)
     assert _sha(render_csv(report)) == csv_sha
     assert _sha(render_json(report)) == json_sha
+
