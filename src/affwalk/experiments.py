@@ -172,38 +172,31 @@ def _suite_config(mu: StepDistribution, seed: int, samples: int, **params) -> di
 # replica fan-out
 
 
-def _run_chunk(args) -> list:
-    fn, base_seed, lo, hi = args
-    return [fn(replica_seed(base_seed, i)) for i in range(lo, hi)]
-
-
 def _fan_out(fn: Callable[[int], object], base_seed: int, samples: int, workers: int) -> Iterator:
     """``fn(seed_i)`` for every replica, yielded in index order as results arrive.
 
     The results are identical for any worker count.  The range checks run at
     the call; the replicas run as the caller consumes them, one at a time at
-    one worker and a chunk at a time, as the pool returns it, at several.
-    ``fn`` is a module-level replica or a ``functools.partial`` of one with
-    keyword arguments, so a job pickles it by name.  The pool never exceeds
-    the CPU count or the number of chunks.
+    one worker and at several through the pool's ``map``, a chunk of about
+    samples / (4 * workers) seeds per job.  ``fn`` is a module-level replica
+    or a ``functools.partial`` of one, so a chunk pickles it by name.  The
+    pool never exceeds the CPU count or the number of chunks.
     """
     _require_count(samples, "sample count", 1)
     workers = min(_require_count(workers, "worker count", 1), os.cpu_count() or 1)
+    seeds = map(partial(replica_seed, base_seed), range(samples))
     if workers <= 1:
-        return map(fn, map(partial(replica_seed, base_seed), range(samples)))
+        return map(fn, seeds)
     chunk = max(1, math.ceil(samples / (workers * 4)))
-    bounds = list(range(0, samples, chunk)) + [samples]
-    jobs = [(fn, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    return _pooled(jobs, min(workers, len(jobs)))
+    return _pooled(fn, seeds, chunk, min(workers, math.ceil(samples / chunk)))
 
 
-def _pooled(jobs: list, workers: int) -> Iterator:
+def _pooled(fn: Callable, seeds: Iterator[int], chunk: int, workers: int) -> Iterator:
     # imported here: the pool's import tree is a cost a 1-worker run never pays
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for results in pool.map(_run_chunk, jobs):
-            yield from results
+        yield from pool.map(fn, seeds, chunksize=chunk)
 
 
 def _grid(n_grid: Sequence[int]) -> list[int]:
@@ -704,8 +697,7 @@ def run_stationarity(
     _require_count(margin, "margin", 1)
     if p == INFINITE_PLACE:
         raise ValueError("stationarity needs a finite prime")
-    profile = drift_profile(mu)
-    if profile.exact().get(p, Fraction(0)) <= 0:
+    if p not in drift_profile(mu).contracting():
         raise ValueError(f"prime {p} does not contract")
     if n + margin > DEFAULT_STEP_CAP:  # a lock holds for margin steps past the prefix
         raise StabilizationError(f"no lock within {DEFAULT_STEP_CAP} steps", steps=DEFAULT_STEP_CAP)

@@ -16,6 +16,7 @@ import math
 from collections import Counter, namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Mapping
 
@@ -24,11 +25,11 @@ from .exact import (
     INFINITE_PLACE,
     Place,
     _require_count,
+    _require_finite_prime,
     _Value,
     format_rational,
     parse_rational,
-    support_primes,
-    valuation,
+    prime_factors,
 )
 from .group import AffineMap, format_affine, inverse
 from .group import compose  # noqa: F401  (bench/ traces measure.compose by name)
@@ -122,12 +123,18 @@ def validate(mu: StepDistribution) -> MeasureReport:
     return MeasureReport(True, f"every atom fixes z = {fixed}", fixed)
 
 
-def _vp_mean(mu: StepDistribution, p: int) -> Fraction:
-    """Exact mean of v_p(a) under the step law."""
-    total = Fraction(0)
-    for g, w in mu.atoms:
-        total += w * valuation(g.a, p)
-    return total
+@lru_cache(maxsize=16)
+def _slope_valuations(mu: StepDistribution) -> tuple:
+    """(p, exact mean of v_p(a), each atom's v_p(a)) per prime p of some slope, by p.
+
+    The one place a law's slopes are factored, cached per law.
+    """
+    factors = [(prime_factors(g.a.numerator), prime_factors(g.a.denominator)) for g in mu.support]
+    table = []
+    for p in sorted({p for num, den in factors for p in (*num, *den)}):
+        vs = tuple(num.get(p, 0) - den.get(p, 0) for num, den in factors)
+        table.append((p, sum(w * v for w, v in zip(mu.weights, vs)), vs))
+    return tuple(table)
 
 
 def drift(mu: StepDistribution, place: Place) -> float:
@@ -137,7 +144,9 @@ def drift(mu: StepDistribution, place: Place) -> float:
             float(w) * (math.log(abs(g.a.numerator)) - math.log(g.a.denominator))
             for g, w in mu.atoms
         )
-    return -_vp_mean(mu, place) * math.log(place)
+    p = _require_finite_prime(place)
+    c = next((c for q, c, _ in _slope_valuations(mu) if q == p), 0)
+    return -c * math.log(p)
 
 
 class DriftProfile(
@@ -225,10 +234,8 @@ def _drift_sum_bound(mu: StepDistribution) -> float:
 
 
 def drift_profile(mu: StepDistribution) -> DriftProfile:
-    primes = set()
-    for g, _ in mu.atoms:
-        primes |= support_primes(g.a)
-    vp_means = tuple(sorted((p, _vp_mean(mu, p)) for p in primes))
+    """The law's drifts, rebuilt per call from its cached ``_slope_valuations``."""
+    vp_means = tuple((p, c) for p, c, _ in _slope_valuations(mu))
     finite = tuple((p, -c * math.log(p)) for p, c in vp_means)
     infinite = -math.fsum(phi for _, phi in finite)
     return DriftProfile(finite, infinite, vp_means, _infinite_sign(vp_means))

@@ -26,13 +26,13 @@ from .exact import (
     INFINITE_VALUATION,
     Place,
     _require_count,
+    _require_finite_prime,
     format_place,
     log_norm,
-    prime_factors,
     valuation,
 )
 from .group import AffineMap
-from .measure import StepDistribution, drift_profile, validate
+from .measure import StepDistribution, _slope_valuations, drift_profile, validate
 from .padic import expand
 from .prng import (
     LANES,
@@ -131,25 +131,20 @@ class _Encoding:
 
 @lru_cache(maxsize=16)
 def _encode(mu: StepDistribution) -> _Encoding:
-    """Factor every atom's coefficients; see ``_Encoding``.
+    """Integer form of every atom, its v_p(a) read from ``_slope_valuations``.
 
     Cached per law, so the walks of one law in a process share one encoding
-    and one warm block table.
+    and one warm block table.  See ``_Encoding``.
     """
     atoms = mu.support
-    factors = [
-        (prime_factors(g.a.numerator), prime_factors(g.a.denominator)) for g in atoms
-    ]
-    primes = tuple(sorted({p for num, den in factors for p in (*num, *den)}))
+    table = _slope_valuations(mu)
+    primes = tuple(p for p, _, _ in table)
     scale = math.lcm(*(g.b.denominator for g in atoms))
     steps = []
-    for g, (num, den) in zip(atoms, factors):
-        moves = []
-        for j, p in enumerate(primes):
-            v = num.get(p, 0) - den.get(p, 0)
-            moves.append((j, v, min(v, 0)))
+    for i, g in enumerate(atoms):
+        moves = tuple((j, vs[i], min(vs[i], 0)) for j, (_, _, vs) in enumerate(table))
         b = g.b.numerator * (scale // g.b.denominator)
-        steps.append((b, 1, g.a.numerator, g.a.denominator, tuple(moves)))
+        steps.append((b, 1, g.a.numerator, g.a.denominator, moves))
     min_vb = tuple(
         min((valuation(g.b, p) for g in atoms if g.b != 0), default=None)
         for p in primes
@@ -467,7 +462,10 @@ def extract_boundary(
     ``sample_path(mu, n, seed)``.  The walk stops at ``step_cap`` steps
     (StabilizationError) or past ``DEFAULT_MAX_BITS`` bits (BudgetError).
     """
-    finite_targets = dict(finite_targets or {})
+    finite_targets = {
+        _require_finite_prime(p): _require_count(t, "target exponent", None)
+        for p, t in (finite_targets or {}).items()
+    }
     if not finite_targets and real_tol is None:
         raise ValueError("no place to lock")
     profile = drift_profile(mu)
@@ -479,8 +477,8 @@ def extract_boundary(
     if real_tol is not None:
         if INFINITE_PLACE not in contracting:
             raise ValueError("the infinite place does not contract (drift >= 0)")
-        if real_tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < real_tol < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         safety = (1.0 - math.exp(profile.infinite_drift)) / 2.0
         max_b = max(abs(float(g.b)) for g in mu.support)
         # with every b = 0, Z stays 0 and R is always locked

@@ -533,7 +533,7 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
+    def map(self, fn, jobs, chunksize=1):
         return map(fn, jobs)
 
 

@@ -24,8 +24,10 @@ from affwalk import (
     power,
     reflect,
 )
+from affwalk.exact import support_primes, valuation
 from affwalk.experiments import run_drift
 from affwalk.measure import convolve, measure_config, q_approximant, validate
+from affwalk.walk import _encode
 
 F = Fraction
 IDENTITY = AffineMap(1, 0)
@@ -135,6 +137,48 @@ class TestDrift:
     def test_reflect_involution(self, mu_bias, mu_rev):
         assert reflect(reflect(mu_bias)) == mu_bias
         assert reflect(reflect(mu_rev)) == mu_rev
+
+
+def _vp_mean(mu, p):
+    """Reference mean of v_p(a): one valuation per atom."""
+    total = F(0)
+    for g, w in mu.atoms:
+        total += w * valuation(g.a, p)
+    return total
+
+
+# negative, composite (6, 10/21) and unit slopes; b = 0 atoms among the translations
+_FACTORED_ATOMS = st.lists(
+    st.tuples(
+        st.sampled_from([F(2), F(-2), F(6), F(1, 6), F(10, 21), F(-9, 4), F(1), F(-1)]),
+        st.sampled_from([F(0), F(1), F(-1, 3)]),
+        st.integers(1, 6),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestSlopeValuations:
+    @given(_FACTORED_ATOMS)
+    @settings(max_examples=100, deadline=None)
+    @example([(F(10, 21), F(0), 1), (F(-2), F(1), 2)])
+    def test_one_factoring_serves_drifts_and_encoding(self, atoms):
+        total = sum(w for _, _, w in atoms)
+        mu = StepDistribution([((a, b), F(w, total)) for a, b, w in atoms])
+        primes = sorted(set().union(*(support_primes(g.a) for g in mu.support)))
+        profile = drift_profile(mu)
+        assert profile.vp_means == tuple((p, _vp_mean(mu, p)) for p in primes)
+        for p in primes:
+            assert drift(mu, p) == -_vp_mean(mu, p) * math.log(p)
+        # 11 divides no slope drawn here, and 4 is no place
+        assert drift(mu, 11) == 0.0
+        with pytest.raises(ValueError, match="not a prime"):
+            drift(mu, 4)
+        enc = _encode(mu)
+        assert enc.primes == tuple(primes)
+        for g, step in zip(mu.support, enc.steps):
+            assert [v for _, v, _ in step[4]] == [valuation(g.a, p) for p in primes]
 
 
 def _integer_sign(mu):

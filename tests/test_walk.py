@@ -1,8 +1,12 @@
 import math
 import pickle
+import random
 import re
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,10 +25,11 @@ from affwalk import (
     extract_boundary,
     increment_valuation_rate,
     log_norm,
+    power,
     sample_path,
     valuation,
 )
-from affwalk import experiments, walk
+from affwalk import experiments, measure, walk
 from affwalk.measure import drift_profile, validate
 from affwalk.padic import ball_key_exact
 from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
@@ -206,6 +211,21 @@ class TestExtractBoundary:
     def test_needs_a_place(self, mu_rev):
         with pytest.raises(ValueError):
             extract_boundary(mu_rev, seed=0)
+
+    def test_infinite_place_is_no_finite_target(self, mu_bias):
+        # mu_bias contracts on R, so only the key check refuses this target
+        with pytest.raises(ValueError, match="finite prime"):
+            extract_boundary(mu_bias, seed=0, finite_targets={INFINITE_PLACE: 3})
+
+    @pytest.mark.parametrize("exponent", [True, 2.5], ids=["bool", "float"])
+    def test_target_exponent_is_an_integer(self, mu_rev, exponent):
+        with pytest.raises(ValueError, match="target exponent must be an integer"):
+            extract_boundary(mu_rev, seed=0, finite_targets={2: exponent})
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_real_tolerance_is_finite(self, mu_bias, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            extract_boundary(mu_bias, seed=0, real_tol=tol)
 
 
 class TestDivergence:
@@ -430,18 +450,23 @@ class TestIntegerEngine:
         cold = []
         for seed in range(20):
             _encode.cache_clear()
+            measure._slope_valuations.cache_clear()
             cold.append(boundary_digits(mu_rev, 2, 16, seed))
         factored = []
-        factor = walk.prime_factors
+        factor = measure.prime_factors
 
         def counted(n):
             factored.append(n)
             return factor(n)
 
-        monkeypatch.setattr(walk, "prime_factors", counted)
+        monkeypatch.setattr(measure, "prime_factors", counted)
         _encode.cache_clear()
+        measure._slope_valuations.cache_clear()
+        drift_profile(mu_rev)
+        _encode(mu_rev)
         warm = [boundary_digits(mu_rev, 2, 16, seed) for seed in range(20)]
-        # one numerator and one denominator per atom, factored on the first call
+        # one numerator and one denominator per atom, factored on the first
+        # call and shared by the drift profile and the walk encoding
         assert len(factored) == 2 * len(mu_rev.support)
         assert warm == cold
 
@@ -758,3 +783,61 @@ class TestProbeOracle:
                 step_cap=walk.DEFAULT_STEP_CAP,
             )
             assert keys == expected
+
+
+def _excess(pairs, walks: int) -> float:
+    """Total-variation distance of a histogram of ``walks`` draws from an exact law.
+
+    ``pairs`` holds (probability, count) for every cell the histogram hits.
+    Both have mass 1, so the distance is the mass the histogram puts above
+    the law.
+    """
+    return math.fsum(max(c / walks - w, 0.0) for w, c in pairs)
+
+
+# (atoms as (a, b, weight), n, walks); the 2- and 3-atom laws walk blocks of 8
+_TWO_ENGINE_LAWS = {
+    # one composite block and one single step, with walks enough to see a
+    # pick threshold moved by 2^58 (a weight moved by 1/64)
+    "mu_rev": ([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 12_000),
+    "mu_sym": ([(F(2), F(0), 1), (F(1, 2), F(1), 1)], 10, 4_000),
+    "pinned": ([(F(2, 3), F(1), 2), (F(4, 5), F(0), 1), (F(4, 5), F(1, 7), 1)], 8, 4_000),
+    "negative-a": ([(F(-2), F(1), 1), (F(-1, 3), F(0), 1), (F(1, 2), F(-1, 5), 1)], 8, 4_000),
+    # 17 atoms pick lane by lane, in blocks of 2
+    "17-atoms": (
+        [(F(2), F(0), 16)] + [(F(1, k + 2), F(k, 3), 1) for k in range(16)], 3, 4_000
+    ),
+    # blocks of 4, and n = 6 leaves two single steps
+    "block-4": (
+        [(F(3), F(0), 1), (F(1, 3), F(1), 1), (F(-1), F(2), 1), (F(2, 3), F(-1, 2), 1)],
+        6,
+        4_000,
+    ),
+}
+
+
+class TestTwoEngines:
+    @pytest.mark.parametrize("law", list(_TWO_ENGINE_LAWS))
+    def test_walker_histogram_matches_power(self, law):
+        # the walker's (A_n, Z_n) over seeds replica_seed(0, i) against the
+        # exact law power(mu, n); the bound is the 99th percentile of the same
+        # distance over 100 seeded multinomial samples of the exact table
+        atoms, n, walks = _TWO_ENGINE_LAWS[law]
+        mu = _measure(atoms)
+        exact = {(g.a, g.b): w for g, w in power(mu, n).as_dict().items()}
+        probs = [float(w) for w in exact.values()]
+        enc = _encode(mu)
+        hist = Counter()
+        for i in range(walks):
+            walker = _Walker(enc, replica_seed(0, i))
+            walker.advance(n)
+            hist[walker.a, walker.z] += 1
+        seen = _excess(((float(exact.get(k, 0)), c) for k, c in hist.items()), walks)
+        # a uniform draw u falls in cell bisect_right(edges, u)
+        edges = [float(c) for c in accumulate(exact.values())]
+        rng = random.Random(0)
+        null = []
+        for _ in range(100):
+            cells = Counter(map(bisect_right, repeat(edges), [rng.random() for _ in range(walks)]))
+            null.append(_excess(((probs[k], c) for k, c in cells.items()), walks))
+        assert seen <= sorted(null)[98]
