@@ -25,6 +25,7 @@ from .exact import (
     INFINITE_PLACE,
     Place,
     _require_count,
+    _require_finite_prime,
     format_place,
     format_rational,
     height,
@@ -160,6 +161,15 @@ def render_json(report: Report) -> str:
 
 def _partial_plus(z: Fraction, places: Iterable[Place]) -> float:
     return math.fsum(log_norm_plus(z, p) for p in places)
+
+
+def _places(places: Iterable[Place]) -> tuple[Place, ...]:
+    """Each place once, in order, after checking that every finite one is a prime."""
+    places = tuple(dict.fromkeys(places))
+    for p in places:
+        if p != INFINITE_PLACE:
+            _require_finite_prime(p)
+    return places
 
 
 def _suite_config(mu: StepDistribution, seed: int, samples: int, **params) -> dict:
@@ -464,7 +474,7 @@ def run_lln43(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     grid = _grid(n_grid)
-    places = tuple(dict.fromkeys(places))  # each place counts once
+    places = _places(places)
     profile = drift_profile(mu)
     bound = math.fsum(profile.phi_plus(p) for p in places) + epsilon
     replica = partial(_lln43_replica, encoding=_encode(mu), grid=grid, places=places)
@@ -527,7 +537,7 @@ def run_prop44(
         raise ValueError("epsilon must be positive")
     _require_count(stab_factor, "stab_factor", 1)
     _require_count(margin, "margin", 1)
-    places = tuple(dict.fromkeys(places))  # each place counts once
+    places = _places(places)
     if not places:
         raise ValueError("prop44 needs a non-empty place list")
     grid = _grid(n_grid)
@@ -697,6 +707,7 @@ def run_stationarity(
     _require_count(margin, "margin", 1)
     if p == INFINITE_PLACE:
         raise ValueError("stationarity needs a finite prime")
+    _require_finite_prime(p)
     if p not in drift_profile(mu).contracting():
         raise ValueError(f"prime {p} does not contract")
     if n + margin > DEFAULT_STEP_CAP:  # a lock holds for margin steps past the prefix

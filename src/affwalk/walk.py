@@ -59,7 +59,7 @@ __all__ = [
 DEFAULT_MARGIN = 32
 DEFAULT_STEP_CAP = 200_000
 DEFAULT_MAX_BITS = 1_000_000
-_BLOCK_ENTRIES = 8_192  # most words a block table may hold: m**k for m atoms
+_BLOCK_ENTRIES = 8_192  # m**block stays within it; a table holds below twice it
 _SEARCH_CAP = 10_000  # steps increment_valuation_rate reads past n for a move
 
 
@@ -83,9 +83,11 @@ class _Encoding:
     b_i != 0 for p = primes[j], None when every b is 0.
 
     ``blocks`` maps a word of atom indices (bytes or a tuple) to its entry:
-    words of length ``block``, and their halves, each built the first time
-    it is met.  Each process fills its own table: a pickled encoding carries
-    it empty.
+    words of length ``block``, the shorter tails a flush ends on, and their
+    halves, each built the first time it is met.  Every word has length 2 to
+    ``block``, so an m-atom law's table holds at most the sum of m**r over
+    those lengths r.  Each process fills its own table: a pickled encoding
+    carries it empty.
     """
 
     def __init__(self, thresholds, offsets, primes, scale, steps, min_vb, block):
@@ -170,18 +172,18 @@ class _Walker:
     ``step`` only reads the next atom of the current ``LANES``-draw batch and
     counts it; ``advance(m)`` counts m steps in one call, with the flush, bit
     guard and next batch at each multiple of ``LANES`` that m ``step`` calls
-    would run.  ``_flush`` applies the steps drawn since the last flush: whole
-    blocks of ``block`` steps by one composite entry each (see ``_Encoding``),
-    and the rest one step at a time.  The flush carries P's pending factor
-    as two small integers, mul / div.  An entry first scales N, D and mul by
-    the deficit s of its least prefix exponent below the floor, then adds
-    the translation N += P * mul * C / (div * G) (one exact division) when
-    C != 0, then folds a = num / den into mul and div.  The flush ends by
-    bringing P up to date: one multiplication by mul, one exact division by
-    div.  Every ``LANES``th step flushes and runs the bit guard; reads of
-    ``a``, ``z`` and ``exponents`` flush first.  So after every flush P, N,
-    D and the exponents are those of stepping one atom at a time, and no
-    step takes a gcd.
+    would run.  ``_flush`` applies the steps drawn since the last flush as
+    words of ``block`` steps, and the shorter tail as one word, by one
+    composite entry each (see ``_Encoding``).  The flush carries P's pending
+    factor as two small integers, mul / div.  An entry first scales N, D and
+    mul by p**s for each prime p whose least prefix exponent falls s below
+    the floor, then adds the translation N += P * mul * C / (div * G) (one
+    exact division) when C != 0, then folds a = num / den into mul and div.
+    The flush ends by bringing P up to date: one multiplication by mul, one
+    exact division by div.  Every ``LANES``th step flushes and runs the bit
+    guard; reads of ``a``, ``z`` and ``exponents`` flush first.  So after
+    every flush P, N, D and the exponents are those of stepping one atom at
+    a time, and no step takes a gcd.
     """
 
     __slots__ = (
@@ -230,34 +232,29 @@ class _Walker:
 
     def _flush(self) -> None:
         """Apply the steps drawn since the last flush; see the class docstring."""
-        start = self._done % LANES
-        stop = start + self.count - self._done
-        if start == stop:
+        done, count = self._done, self.count
+        if done == count:
             return
-        self._done = self.count
-        enc, atoms = self._enc, self._atoms
-        steps, blocks, k = enc.steps, enc.blocks, enc.block
-        whole = stop - (stop - start) % k
-        entries = []
-        for at in range(start, whole, k):
-            word = atoms[at:at + k]
-            entries.append(blocks.get(word) or enc.entry(word))
-        entries += [steps[i] for i in atoms[whole:stop]]
+        self._done = count
+        start = done % LANES
+        drawn = self._atoms[start:start + count - done]
+        enc = self._enc
+        blocks, k = enc.blocks, enc.block
         primes, exponents, floor = self.primes, self._exponents, self._floor
         p, n, d = self._p, self._n, self._d
         mul = div = 1
-        for c, g, num, den, moves in entries:
-            s = 1
+        for at in range(0, len(drawn), k):
+            word = drawn[at:at + k]
+            c, g, num, den, moves = blocks.get(word) or enc.entry(word)
             for j, v, low in moves:
                 e = exponents[j]
                 if e + low < floor[j]:
-                    s *= primes[j] ** (floor[j] - e - low)
+                    s = primes[j] ** (floor[j] - e - low)
+                    n *= s
+                    d *= s
+                    mul *= s
                     floor[j] = e + low
                 exponents[j] = e + v
-            if s != 1:
-                n *= s
-                d *= s
-                mul *= s
             # x * g: Z picks up A b, which is P * C / G in N's units
             if c:
                 n += p * (mul * c) // (div * g)

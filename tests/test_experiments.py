@@ -33,7 +33,8 @@ from affwalk.experiments import (
     run_validate,
     run_walk,
 )
-from affwalk.measure import measure_config
+from affwalk.exact import height
+from affwalk.measure import measure_config, power, q_approximant
 from affwalk.padic import ball_key_exact
 from affwalk.prng import replica_seed
 
@@ -167,6 +168,19 @@ class TestSmallSuites:
 
 
 class TestMonteCarloSuites:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lln41_mean_matches_exact_law(self, mu_rev, seed):
+        # height(q_n / A_n) / n is a function of A_n, so its mean and variance
+        # are exact sums over power(mu, n); the Monte Carlo mean must lie
+        # within 4 standard errors of the exact mean
+        n, samples = 8, 4000
+        q = q_approximant(experiments.drift_profile(mu_rev), n)
+        law = [(float(w), height(q / g.a) / n) for g, w in power(mu_rev, n).as_dict().items()]
+        mean = math.fsum(w * h for w, h in law)
+        variance = math.fsum(w * (h - mean) ** 2 for w, h in law)
+        rep = run_lln41(mu_rev, n_grid=[n], samples=samples, seed=seed)
+        assert abs(rep.summary["means"][str(n)] - mean) <= 4 * math.sqrt(variance / samples)
+
     def test_lln41_decreases(self, mu_bias):
         rep = run_lln41(mu_bias, n_grid=[50, 100, 200], samples=30, seed=2)
         means = rep.summary["means"]
@@ -244,6 +258,25 @@ class TestMonteCarloSuites:
         assert experiments.drift_profile(mu).contracting() == {INFINITE_PLACE}
         with pytest.raises(ValueError, match="^stationarity needs a finite prime$"):
             run_stationarity(mu, INFINITE_PLACE, radius_exponent=4, n=10, samples=5, seed=0)
+
+    @pytest.mark.parametrize("place", [2.0, True, 4])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda mu, p: run_stationarity(mu, p, radius_exponent=6, n=50, samples=5),
+            lambda mu, p: run_prop44(mu, [p], n_grid=[1000], samples=5),
+            lambda mu, p: run_lln43(mu, [3, p], n_grid=[10], samples=5),
+        ],
+        ids=["stationarity", "prop44", "lln43"],
+    )
+    def test_place_must_be_a_prime_before_any_walk(self, mu_rev, monkeypatch, run, place):
+        # 2.0 == 2 passes the contraction lookup, but a valuation needs an int prime
+        def unbuilt(*args):
+            raise AssertionError("a walker was built")
+
+        monkeypatch.setattr(experiments, "_Walker", unbuilt)
+        with pytest.raises(ValueError, match=f"^not a prime: {place!r}$"):
+            run(mu_rev, place)
 
     def test_stationarity_lock_hits_step_cap(self, mu_rev, monkeypatch):
         # a 40-digit lock needs far more than the 10 steps the cap leaves

@@ -85,6 +85,13 @@ _atoms = st.lists(
     st.tuples(_slopes, _translations, st.integers(1, 5)), min_size=1, max_size=4
 )
 _MIXED = [(F(6, 35), F(0), 2), (F(-3), F(5, 6), 1), (F(-1, 4), F(-2, 9), 1)]
+_REV = [(F(2), F(0), 3), (F(1, 2), F(1), 1)]
+# reads whose flushes end on a tail of every length 1 to 7, below a block of 8
+# steps: alone (steps 1 to 28), then after one whole block (steps 41 and 55)
+_TAIL_READS = {
+    1: "a", 3: "z", 6: "exponents", 10: "a", 15: "z", 21: "exponents", 28: "a",
+    41: "z", 55: "a",
+}
 
 
 def _measure(atoms):
@@ -413,13 +420,15 @@ class TestIntegerEngine:
     )
     @example(_MIXED, 5, 150, {5: "z", 6: "exponents", 40: "a", 64: "z", 101: "z"})
     @example([(F(2), F(0), 1)], 5, 100, {33: "a"})
+    @example(_REV, 5, 60, _TAIL_READS)
+    @example(_MIXED, 7, 60, _TAIL_READS)
     def test_blocks_match_stepwise_application(self, atoms, seed, n, reads):
         # the stepwise walker is read at every step, so each flush applies
         # one step; the others are read on a random schedule, so their flushes
         # apply whole blocks (1 to 12 atoms take blocks of 32, 8, 4 and 2
-        # steps).  On one seed, the first of them builds each block word's
-        # composite entry; the second meets the word again and reads it from
-        # the table.
+        # steps) and then the shorter tail as one word.  On one seed, the
+        # first of them builds each word's composite entry; the second meets
+        # the word again and reads it from the table.
         _encode.cache_clear()  # start from an empty block table
         enc = _encode(_measure(atoms))
         stepwise = _Walker(enc, seed)
@@ -438,6 +447,23 @@ class TestIntegerEngine:
             assert (walker._n, walker._d, walker._floor) == (
                 stepwise._n, stepwise._d, stepwise._floor
             )
+
+    @pytest.mark.parametrize("atoms", [_REV, _MIXED], ids=["2-atoms", "3-atoms"])
+    def test_table_holds_words_of_length_2_to_block(self, atoms):
+        # reads at random steps end flushes on tails of every length below the
+        # block; a tail is one word of the table, built from its halves, so the
+        # table holds every length from 2 to the block and no other
+        _encode.cache_clear()  # start from an empty block table
+        enc = _encode(_measure(atoms))
+        walker = _Walker(enc, 11)
+        rng = random.Random(4)
+        for _ in range(2000):
+            walker.step()
+            if rng.random() < 0.2:
+                walker._flush()  # as every read of a, z or exponents does
+        m, k = len(atoms), enc.block
+        assert {len(word) for word in enc.blocks} == set(range(2, k + 1))
+        assert len(enc.blocks) <= sum(m**r for r in range(2, k + 1))
 
     def test_block_length_fits_the_table(self):
         lengths = {
