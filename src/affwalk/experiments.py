@@ -25,7 +25,6 @@ from .exact import (
     INFINITE_PLACE,
     Place,
     _require_count,
-    _require_finite_prime,
     format_place,
     format_rational,
     height,
@@ -49,7 +48,9 @@ from .measure import (
 )
 from .padic import ball_key_exact
 from .prng import replica_seed
-from .walk import DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _lock, _probe, _Walker, boundary_digits
+from .walk import (
+    DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _lock, _places, _probe, _Walker, boundary_digits,
+)
 
 __all__ = [
     "Row",
@@ -161,15 +162,6 @@ def render_json(report: Report) -> str:
 
 def _partial_plus(z: Fraction, places: Iterable[Place]) -> float:
     return math.fsum(log_norm_plus(z, p) for p in places)
-
-
-def _places(places: Iterable[Place]) -> tuple[Place, ...]:
-    """Each place once, in order, after checking that every finite one is a prime."""
-    places = tuple(dict.fromkeys(places))
-    for p in places:
-        if p != INFINITE_PLACE:
-            _require_finite_prime(p)
-    return places
 
 
 def _suite_config(mu: StepDistribution, seed: int, samples: int, **params) -> dict:
@@ -330,8 +322,6 @@ def run_boundary(
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> Report:
     """Stabilized p-adic digits of one boundary point, with its probe verdict."""
-    if p == INFINITE_PLACE:
-        raise ValueError("boundary digits need a finite prime")
     result = boundary_digits(mu, p, digits, seed, margin=margin, step_cap=step_cap)
     index = result.stabilization_index
     rows = [
@@ -471,8 +461,8 @@ def run_lln43(
     workers: int = 1,
 ) -> Report:
     """Frequency of the partial-height event <Z_n>_P^+ / n <= bound + eps."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     grid = _grid(n_grid)
     places = _places(places)
     profile = drift_profile(mu)
@@ -533,19 +523,15 @@ def run_prop44(
     largest grid n; the stabilization error is absorbed into epsilon and the
     probe-miss rate over an extra ``margin`` steps is reported.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     _require_count(stab_factor, "stab_factor", 1)
     _require_count(margin, "margin", 1)
-    places = _places(places)
+    profile = drift_profile(mu)
+    places = _places(places, profile)
     if not places:
         raise ValueError("prop44 needs a non-empty place list")
     grid = _grid(n_grid)
-    profile = drift_profile(mu)
-    contracting = profile.contracting()
-    for p in places:
-        if p not in contracting:
-            raise ValueError(f"place {format_place(p)} is not contracting")
     trunc = profile.nonzero_places() | {INFINITE_PLACE}
     cotrunc = tuple(sorted((trunc - set(places)), key=lambda p: (p == INFINITE_PLACE, p)))
     bound = math.fsum(profile.phi_minus(p) for p in cotrunc) + epsilon
@@ -707,9 +693,7 @@ def run_stationarity(
     _require_count(margin, "margin", 1)
     if p == INFINITE_PLACE:
         raise ValueError("stationarity needs a finite prime")
-    _require_finite_prime(p)
-    if p not in drift_profile(mu).contracting():
-        raise ValueError(f"prime {p} does not contract")
+    _places((p,), drift_profile(mu))
     if n + margin > DEFAULT_STEP_CAP:  # a lock holds for margin steps past the prefix
         raise StabilizationError(f"no lock within {DEFAULT_STEP_CAP} steps", steps=DEFAULT_STEP_CAP)
     replica = partial(

@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DegenerateMeasureError, StabilizationError
 from .exact import (
@@ -31,8 +31,7 @@ from .exact import (
     log_norm,
     valuation,
 )
-from .group import AffineMap
-from .measure import StepDistribution, _slope_valuations, drift_profile, validate
+from .measure import DriftProfile, StepDistribution, _slope_valuations, drift_profile, validate
 from .padic import expand
 from .prng import (
     LANES,
@@ -152,9 +151,10 @@ def _encode(mu: StepDistribution) -> _Encoding:
         for p in primes
     )
     thresholds = tuple(cumulative_thresholds(mu.weights))
-    # the longest power-of-2 block, up to LANES, whose words fit the table
+    # the longest power-of-2 block, up to LANES, whose words fit the table;
+    # past _BLOCK_ENTRIES atoms that is 1, and every word is one atom's entry
     block = LANES
-    while len(atoms) ** block > _BLOCK_ENTRIES:
+    while block > 1 and len(atoms) ** block > _BLOCK_ENTRIES:
         block //= 2
     return _Encoding(
         thresholds, lane_offsets(thresholds), primes, scale, tuple(steps), min_vb, block
@@ -328,6 +328,20 @@ def sample_path(mu: StepDistribution, n: int, seed: int) -> Trajectory:
     return Trajectory(seed, tuple(mu.support[step()] for _ in range(n)))
 
 
+def _places(places: Iterable[Place], profile: Optional[DriftProfile] = None) -> tuple[Place, ...]:
+    """Each place once, in order, after checking that every finite one is a prime.
+
+    Given the law's drift profile, a place that does not contract is refused too.
+    """
+    places = tuple(dict.fromkeys(places))
+    for p in places:
+        if p != INFINITE_PLACE:
+            _require_finite_prime(p)
+        if profile is not None and p not in profile.contracting():
+            raise ValueError(f"place {format_place(p)} does not contract (drift >= 0)")
+    return places
+
+
 def _lock(
     walker: _Walker,
     targets: Mapping[int, int],
@@ -398,7 +412,6 @@ def _probe(
     ``real_bound`` the list ends with R, which agrees while ln|Z after - Z now|
     is at most that bound.  The walker is left at Z after.
     """
-    _require_count(margin, "margin", 1)
     scale = walker.scale
     _, n0, d0 = walker.state
     step = walker.step
@@ -459,6 +472,8 @@ def extract_boundary(
     ``sample_path(mu, n, seed)``.  The walk stops at ``step_cap`` steps
     (StabilizationError) or past ``DEFAULT_MAX_BITS`` bits (BudgetError).
     """
+    _require_count(margin, "margin", 1)
+    _require_count(step_cap, "step cap", 1)
     finite_targets = {
         _require_finite_prime(p): _require_count(t, "target exponent", None)
         for p, t in (finite_targets or {}).items()
@@ -466,14 +481,9 @@ def extract_boundary(
     if not finite_targets and real_tol is None:
         raise ValueError("no place to lock")
     profile = drift_profile(mu)
-    contracting = profile.contracting()
-    for p in finite_targets:
-        if p not in contracting:
-            raise ValueError(f"prime {p} does not contract (drift >= 0)")
+    _places([*finite_targets, *([INFINITE_PLACE] if real_tol is not None else [])], profile)
     real = real_bound = None
     if real_tol is not None:
-        if INFINITE_PLACE not in contracting:
-            raise ValueError("the infinite place does not contract (drift >= 0)")
         if not 0 < real_tol < math.inf:
             raise ValueError("tolerance must be finite and positive")
         safety = (1.0 - math.exp(profile.infinite_drift)) / 2.0
@@ -569,15 +579,14 @@ def _atom_batches(
         yield tuple([pick_index(u, thresholds) for u in lanes])
 
 
-def _valuation_walk(
-    mu: StepDistribution, place: Place, seed: int
-) -> tuple[list, list, Iterator[int]]:
-    """v(a_i) and v(b_i) for each atom i, and the atom indices of one seed's walk.
+def _increment_valuations(mu: StepDistribution, place: Place, seed: int) -> Iterator:
+    """v(A_{k-1} b_k) for k = 1, 2, ... along one seed's walk.
 
     v is v_p at a finite prime and ln|.| on R, with v(0) = v_p(0) = inf and
-    ln 0 = -inf, so a step with b_k = 0 has ln|A_{k-1} b_k| = -inf at every
-    place.  The atoms are drawn through the law's cached encoding, so they
-    are the atoms every other walk of the seed draws.
+    ln 0 = -inf, so a step with b_k = 0 yields inf at a prime and -inf on R.
+    Step k's v(b) is read before its v(a) joins the running v(A).  The atoms
+    are drawn through the law's cached encoding, so they are the atoms every
+    other walk of the seed draws.
     """
 
     def v(q: Fraction):
@@ -585,9 +594,12 @@ def _valuation_walk(
             return valuation(q, place)
         return log_norm(q, place) if q else -math.inf
 
+    va, vb = [v(g.a) for g in mu.support], [v(g.b) for g in mu.support]
     enc = _encode(mu)
-    draws = chain.from_iterable(_atom_batches(enc.thresholds, enc.offsets, seed))
-    return [v(g.a) for g in mu.support], [v(g.b) for g in mu.support], draws
+    running = 0  # v(A_{k-1})
+    for j in chain.from_iterable(_atom_batches(enc.thresholds, enc.offsets, seed)):
+        yield running + vb[j]
+        running += va[j]
 
 
 class DivergenceReport(namedtuple("DivergenceReport", "place n samples mean values")):
@@ -617,15 +629,8 @@ def divergence_statistic(
     scale = 1.0 if place == INFINITE_PLACE else -math.log(place)
     values = []
     for i in range(samples):
-        va, vb, draws = _valuation_walk(mu, place, replica_seed(seed, i))
-        running = 0  # v(A_{k-1})
-        best = 0.0
-        for j in islice(draws, n):
-            term = (running + vb[j]) * scale
-            if term > best:
-                best = term
-            running += va[j]
-        values.append(best / n)
+        stream = islice(_increment_valuations(mu, place, replica_seed(seed, i)), n)
+        values.append(max(0.0, max(v * scale for v in stream)) / n)
     return DivergenceReport(
         place=place,
         n=n,
@@ -649,14 +654,9 @@ def increment_valuation_rate(mu: StepDistribution, p: int, n: int, seed: int) ->
         raise ValueError("the increment valuation needs a finite prime")
     if all(g.b == 0 for g in mu.support):
         raise ValueError("no translation atoms: Z never moves")
-    va, vb, draws = _valuation_walk(mu, p, seed)
-    running = 0  # v_p(A_m)
-    for j in islice(draws, n):
-        running += va[j]
-    for j in islice(draws, _SEARCH_CAP):
-        if vb[j] != INFINITE_VALUATION:
-            return (running + vb[j]) * math.log(p) / n
-        running += va[j]
+    for v in islice(_increment_valuations(mu, p, seed), n, n + _SEARCH_CAP):
+        if v != INFINITE_VALUATION:
+            return v * math.log(p) / n
     raise StabilizationError(
         f"no nonzero increment within {_SEARCH_CAP} steps after {n}", steps=_SEARCH_CAP
     )

@@ -221,12 +221,15 @@ class TestExitCodes:
             ({"lln41": {"samples": True, "n_grid": [3]}}, ["lln41"]),
             ({"lln41": {"samples": 2, "n_grid": [True, 3]}}, ["lln41"]),
             ({"walk": {"seed": False}}, ["walk"]),
+            ({"boundary": {"step_cap": 0}}, ["boundary", "--p", "2"]),
+            ({"boundary": {"step_cap": -5}}, ["boundary", "--p", "2"]),
         ],
         ids=["k-nan", "k-inf", "n-abc", "n-null", "margin-0", "stab-factor-0",
              "walk-n-negative", "n-max-negative", "n-non-integral",
              "n-flag-non-integral", "grid-non-integral", "samples-non-integral",
              "seed-non-integral", "seed-flag-abc", "replicas-flag-non-integral",
-             "workers-abc", "workers-0", "n-bool", "samples-bool", "grid-bool", "seed-bool"],
+             "workers-abc", "workers-0", "n-bool", "samples-bool", "grid-bool", "seed-bool",
+             "step-cap-0", "step-cap-negative"],
     )
     def test_bad_values_exit_2(self, tmp_path, capsys, section, argv):
         cfg = tmp_path / "cfg.json"

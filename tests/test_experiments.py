@@ -33,7 +33,7 @@ from affwalk.experiments import (
     run_validate,
     run_walk,
 )
-from affwalk.exact import height
+from affwalk.exact import height, log_norm_plus
 from affwalk.measure import measure_config, power, q_approximant
 from affwalk.padic import ball_key_exact
 from affwalk.prng import replica_seed
@@ -181,6 +181,23 @@ class TestMonteCarloSuites:
         rep = run_lln41(mu_rev, n_grid=[n], samples=samples, seed=seed)
         assert abs(rep.summary["means"][str(n)] - mean) <= 4 * math.sqrt(variance / samples)
 
+    @pytest.mark.parametrize("place", [2, INFINITE_PLACE], ids=["2", "inf"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lln43_mean_matches_exact_law(self, mu_rev, place, seed):
+        # <Z_n>_P^+ / n is a function of Z_n, so its mean and variance are
+        # exact sums over power(mu, n); the Monte Carlo mean of the rows must
+        # lie within 4 standard errors of the exact mean
+        n, samples = 8, 4000
+        law = [
+            (float(w), log_norm_plus(g.b, place) / n) for g, w in power(mu_rev, n).as_dict().items()
+        ]
+        mean = math.fsum(w * h for w, h in law)
+        variance = math.fsum(w * (h - mean) ** 2 for w, h in law)
+        rep = run_lln43(mu_rev, [place], n_grid=[n], samples=samples, seed=seed)
+        got = math.fsum(r.value for r in rep.rows) / samples
+        assert len(rep.rows) == samples
+        assert abs(got - mean) <= 4 * math.sqrt(variance / samples)
+
     def test_lln41_decreases(self, mu_bias):
         rep = run_lln41(mu_bias, n_grid=[50, 100, 200], samples=30, seed=2)
         means = rep.summary["means"]
@@ -195,6 +212,24 @@ class TestMonteCarloSuites:
     def test_lln43_rejects_nonpositive_epsilon(self, mu_bias):
         with pytest.raises(ValueError):
             run_lln43(mu_bias, [2], n_grid=[50], samples=5, seed=0, epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda mu, eps: run_lln43(mu, [2], n_grid=[10], samples=5, epsilon=eps),
+            lambda mu, eps: run_prop44(mu, [2], n_grid=[10], samples=5, epsilon=eps),
+        ],
+        ids=["lln43", "prop44"],
+    )
+    def test_epsilon_is_finite_before_any_walk(self, mu_rev, monkeypatch, run, epsilon):
+        # NaN passed no replica and infinity passed every one
+        def unbuilt(*args):
+            raise AssertionError("a walker was built")
+
+        monkeypatch.setattr(experiments, "_Walker", unbuilt)
+        with pytest.raises(ValueError, match="^epsilon must be finite and positive$"):
+            run(mu_rev, epsilon)
 
     def test_prop44_validates_place_set(self, mu_rev):
         # the infinite place does not contract for mu_rev
@@ -313,7 +348,7 @@ class TestMonteCarloSuites:
         assert len(walkers) == 1
 
     def test_prop44_margin_checked_before_any_walk(self, mu_rev, monkeypatch):
-        # _probe rejects the margin too, but only after a full stabilization walk
+        # the replicas' _probe takes the margin unchecked, so the suite checks it first
         walkers = []
         walker_class = experiments._Walker
 

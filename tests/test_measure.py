@@ -89,6 +89,20 @@ class TestValidate:
     def test_identity_only(self):
         assert validate(StepDistribution({AffineMap(1, 0): F(1)})).degenerate
 
+    def test_moving_translation_among_other_atoms(self):
+        # x + 1 fixes no point, so no common fixed point exists
+        mu = StepDistribution({AffineMap(1, 1): F(1, 2), AffineMap(2, 0): F(1, 2)})
+        assert validate(mu) == (False, None, None)
+
+    def test_identity_among_atoms_with_a_common_fixed_point(self):
+        # x fixes every point; 2x + 2 and 3x + 4 both fix -2
+        mu = StepDistribution({
+            AffineMap(1, 0): F(1, 3), AffineMap(2, 2): F(1, 3), AffineMap(3, 4): F(1, 3),
+        })
+        report = validate(mu)
+        assert report.degenerate
+        assert report.fixed_point == -2
+
 
 class TestDrift:
     def test_profile_bias(self, mu_bias):

@@ -234,6 +234,38 @@ class TestExtractBoundary:
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             extract_boundary(mu_bias, seed=0, real_tol=tol)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(step_cap=2.5), "step cap must be an integer"),
+            (dict(step_cap=0), "step cap must be at least 1"),
+            (dict(margin=2.5), "margin must be an integer"),
+            (dict(margin=0), "margin must be at least 1"),
+        ],
+        ids=["step-cap-float", "step-cap-0", "margin-float", "margin-0"],
+    )
+    def test_lock_options_checked_before_any_walk(self, mu_rev, monkeypatch, options, message):
+        def unbuilt(*args):
+            raise AssertionError("a walker was built")
+
+        monkeypatch.setattr(walk, "_Walker", unbuilt)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            extract_boundary(mu_rev, 1, {2: 3}, **options)
+
+    @pytest.mark.parametrize(
+        "law, targets, real_tol",
+        [("mu_rev", {3: 2}, None), ("mu_bias", {2: 2}, None), ("mu_rev", {2: 2}, 1e-6)],
+        ids=["drift-0", "expanding", "expanding-real"],
+    )
+    def test_one_message_for_a_place_that_does_not_contract(
+        self, request, law, targets, real_tol
+    ):
+        mu = request.getfixturevalue(law)
+        place = "inf" if real_tol is not None else next(iter(targets))
+        message = f"place {place} does not contract (drift >= 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            extract_boundary(mu, 0, targets, real_tol=real_tol)
+
 
 class TestDivergence:
     def test_single_expanding_atom(self):
@@ -367,6 +399,42 @@ class TestValuationWalkReference:
                 assert increment_valuation_rate(mu, 2, 5, seed) == expected
 
 
+class TestIncrementStreamReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_atoms, st.integers(1, 60), st.integers(0, 2**64 - 1))
+    @example(_MIXED, 7, 5)
+    @example(_REV, 40, 0)
+    @example([(F(2), F(0), 1), (F(-1, 2), F(1), 1)], 60, 0)
+    def test_statistics_match_fraction_walk(self, atoms, n, seed):
+        # v(A_{k-1} b_k) read off the exact walk as the k-th increment of Z;
+        # both statistics walk replica_seed(seed, 0), one sample's seed
+        mu = _measure(atoms)
+        first = replica_seed(seed, 0)
+        reference, _ = _fraction_walk(mu, first, n + 400)
+        zs = [F(0)] + [z for _, _, z in reference]
+        increments = [z1 - z0 for z0, z1 in zip(zs, zs[1:])]
+        contracting = drift_profile(mu).contracting()
+        for place in (2, 3, 5, 7, INFINITE_PLACE):
+            if place in contracting:
+                continue
+            best = max([0.0, *(log_norm(d, place) for d in increments[:n] if d)])
+            (value,) = divergence_statistic(mu, place, n, 1, seed).values
+            if place == INFINITE_PLACE:
+                # ln|A_{k-1} b_k| as a float sum over k steps, not one logarithm
+                assert value == pytest.approx(best / n, rel=1e-9, abs=1e-12)
+            else:
+                assert value == best / n
+        # the first increment at or after step n + 1 that moves Z
+        moved = next((d for d in increments[n:] if d), None)
+        for p in sorted(contracting - {INFINITE_PLACE}):
+            if moved is None:
+                with pytest.raises(ValueError, match="Z never moves"):
+                    increment_valuation_rate(mu, p, n, first)
+            else:
+                expected = valuation(moved, p) * math.log(p) / n
+                assert increment_valuation_rate(mu, p, n, first) == expected
+
+
 class TestIntegerEngine:
     @settings(max_examples=60, deadline=None)
     @given(_atoms, st.integers(0, 2**64 - 1), st.integers(1, 120))
@@ -471,6 +539,15 @@ class TestIntegerEngine:
             for m in (1, 2, 3, 4, 9, 10, 90, 91)
         }
         assert lengths == {1: 32, 2: 8, 3: 8, 4: 4, 9: 4, 10: 2, 90: 2, 91: 1}
+
+    def test_law_past_the_table_walks_one_atom_at_a_time(self):
+        # past _BLOCK_ENTRIES atoms no word of two atoms fits: the block stays 1
+        mu = _measure([(F(2), F(i), 1) for i in range(walk._BLOCK_ENTRIES + 1)])
+        assert _encode(mu).block == 1
+        traj = sample_path(mu, 40, 1)
+        reference, _ = _fraction_walk(mu, 1, 40)
+        assert traj.length == 40
+        assert traj.steps == tuple(g for g, _, _ in reference)
 
     def test_encoding_is_built_once_per_law(self, mu_rev, monkeypatch):
         cold = []
