@@ -48,9 +48,7 @@ from .measure import (
 )
 from .padic import ball_key_exact
 from .prng import replica_seed
-from .walk import (
-    DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _lock, _places, _probe, _Walker, boundary_digits,
-)
+from .walk import DEFAULT_MARGIN, DEFAULT_STEP_CAP, _encode, _places, _Walker, boundary_digits
 
 __all__ = [
     "Row",
@@ -417,6 +415,8 @@ def run_lln41(
     workers: int = 1,
 ) -> Report:
     """Monte Carlo decay of height(A_n^(-1) q_n)/n along the grid."""
+    if not 0 < final_bound < math.inf:
+        raise ValueError("final bound must be finite and positive")
     grid = _grid(n_grid)
     profile = drift_profile(mu)
     replica = partial(
@@ -463,6 +463,8 @@ def run_lln43(
     """Frequency of the partial-height event <Z_n>_P^+ / n <= bound + eps."""
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
+    if not 0 <= freq_threshold <= 1:
+        raise ValueError("frequency threshold must lie in [0, 1]")
     grid = _grid(n_grid)
     places = _places(places)
     profile = drift_profile(mu)
@@ -494,7 +496,7 @@ def _prop44_replica(
 ) -> tuple[int, list[tuple[float, float]], tuple[Row]]:
     """(seed, height ratio and adelic rate at each grid point, the probe_miss row)."""
     walker, snaps = _grid_walk(encoding, seed, list(targets), n_stab)
-    rep, agreed = _probe(walker, margin, finite_probe, real_probe)
+    rep, agreed = walker.probe(margin, finite_probe, real_probe)
     points = []
     for n, (a, z) in zip(targets, snaps):
         first = height(targets[n] / a) / n
@@ -525,6 +527,8 @@ def run_prop44(
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
+    if not 0 <= freq_threshold <= 1:
+        raise ValueError("frequency threshold must lie in [0, 1]")
     _require_count(stab_factor, "stab_factor", 1)
     _require_count(margin, "margin", 1)
     profile = drift_profile(mu)
@@ -660,12 +664,12 @@ def _stationarity_replica(
     slope, num, den = walker.state  # A_n = P_n / D_n, Z_n = N_n / (scale D_n)
     # lock the representative at a resolution fine enough for the tail at n;
     # p contracts, so it divides some atom's linear part and has a slot
-    target = radius + max(walker.exponents[walker.primes.index(p)], 0) + 1
-    _lock(walker, {p: target}, margin, step_cap)
+    target = radius + max(walker.exponents[encoding.primes.index(p)], 0) + 1
+    walker.lock({p: target}, margin, step_cap)
     stab_index = walker.count
-    rep, [(_, probe_ok)] = _probe(walker, margin, {p: target})
+    rep, [(_, probe_ok)] = walker.probe(margin, {p: target})
     # (rep - Z_n) / A_n over one denominator; Fraction moves a negative P_n's sign up
-    r_num, r_den, scale = rep.numerator, rep.denominator, walker.scale
+    r_num, r_den, scale = rep.numerator, rep.denominator, encoding.scale
     tail = Fraction(r_num * scale * den - num * r_den, r_den * scale * slope)
     keys = (ball_key_exact(rep, p, radius), ball_key_exact(tail, p, radius))
     return seed, keys, stab_index, probe_ok
@@ -688,6 +692,8 @@ def run_stationarity(
     total-variation distance of the two histograms.  The threshold is a test
     calibration, not a derived quantity.
     """
+    if not 0 < tv_threshold <= 1:
+        raise ValueError("TV threshold must lie in (0, 1]")
     _require_count(n, "walk length")
     _require_count(radius_exponent, "radius_exponent", None)
     _require_count(margin, "margin", 1)

@@ -89,14 +89,29 @@ class _Encoding:
     carries it empty.
     """
 
-    def __init__(self, thresholds, offsets, primes, scale, steps, min_vb, block):
-        self.thresholds = thresholds
-        self.offsets = offsets
-        self.primes = primes
-        self.scale = scale
-        self.steps = steps
-        self.min_vb = min_vb
-        self.block = block
+    def __init__(self, mu: StepDistribution):
+        atoms = mu.support
+        table = _slope_valuations(mu)
+        self.thresholds = tuple(cumulative_thresholds(mu.weights))
+        self.offsets = lane_offsets(self.thresholds)
+        self.primes = tuple(p for p, _, _ in table)
+        self.scale = scale = math.lcm(*(g.b.denominator for g in atoms))
+        self.steps = tuple(
+            (
+                g.b.numerator * (scale // g.b.denominator), 1, g.a.numerator, g.a.denominator,
+                tuple((j, vs[i], min(vs[i], 0)) for j, (_, _, vs) in enumerate(table)),
+            )
+            for i, g in enumerate(atoms)
+        )
+        self.min_vb = tuple(
+            min((valuation(g.b, p) for g in atoms if g.b != 0), default=None)
+            for p in self.primes
+        )
+        # the longest power-of-2 block, up to LANES, whose words fit the table;
+        # past _BLOCK_ENTRIES atoms that is 1, and every word is one atom's entry
+        self.block = LANES
+        while self.block > 1 and len(atoms) ** self.block > _BLOCK_ENTRIES:
+            self.block //= 2
         self.blocks = {}
 
     def __getstate__(self):
@@ -130,71 +145,44 @@ class _Encoding:
         return entry
 
 
-@lru_cache(maxsize=16)
-def _encode(mu: StepDistribution) -> _Encoding:
-    """Integer form of every atom, its v_p(a) read from ``_slope_valuations``.
-
-    Cached per law, so the walks of one law in a process share one encoding
-    and one warm block table.  See ``_Encoding``.
-    """
-    atoms = mu.support
-    table = _slope_valuations(mu)
-    primes = tuple(p for p, _, _ in table)
-    scale = math.lcm(*(g.b.denominator for g in atoms))
-    steps = []
-    for i, g in enumerate(atoms):
-        moves = tuple((j, vs[i], min(vs[i], 0)) for j, (_, _, vs) in enumerate(table))
-        b = g.b.numerator * (scale // g.b.denominator)
-        steps.append((b, 1, g.a.numerator, g.a.denominator, moves))
-    min_vb = tuple(
-        min((valuation(g.b, p) for g in atoms if g.b != 0), default=None)
-        for p in primes
-    )
-    thresholds = tuple(cumulative_thresholds(mu.weights))
-    # the longest power-of-2 block, up to LANES, whose words fit the table;
-    # past _BLOCK_ENTRIES atoms that is 1, and every word is one atom's entry
-    block = LANES
-    while block > 1 and len(atoms) ** block > _BLOCK_ENTRIES:
-        block //= 2
-    return _Encoding(
-        thresholds, lane_offsets(thresholds), primes, scale, tuple(steps), min_vb, block
-    )
+# the walks of one law in a process share one encoding and one warm block table
+_encode = lru_cache(maxsize=16)(_Encoding)
 
 
 class _Walker:
     """Walk state in integers, with exact (A, Z) on read and a bit-size guard.
 
+    ``primes``, ``scale`` and the entries are those of the encoding ``_enc``.
     A_n = +-prod primes[j]**exponents[j].  With ``_floor[j]`` the lowest
     exponent so far (never above 0) and D = prod primes[j]**-_floor[j], the
     state keeps the integers N = Z_n * scale * D and D, and the slope integer
     P = A_n * D (which carries the sign); ``state`` reads (P, N, D).
 
     ``step`` only reads the next atom of the current ``LANES``-draw batch and
-    counts it; ``advance(m)`` counts m steps in one call, with the flush, bit
-    guard and next batch at each multiple of ``LANES`` that m ``step`` calls
-    would run.  ``_flush`` applies the steps drawn since the last flush as
-    words of ``block`` steps, and the shorter tail as one word, by one
-    composite entry each (see ``_Encoding``).  The flush carries P's pending
-    factor as two small integers, mul / div.  An entry first scales N, D and
-    mul by p**s for each prime p whose least prefix exponent falls s below
-    the floor, then adds the translation N += P * mul * C / (div * G) (one
-    exact division) when C != 0, then folds a = num / den into mul and div.
-    The flush ends by bringing P up to date: one multiplication by mul, one
-    exact division by div.  Every ``LANES``th step flushes and runs the bit
-    guard; reads of ``a``, ``z`` and ``exponents`` flush first.  So after
-    every flush P, N, D and the exponents are those of stepping one atom at
-    a time, and no step takes a gcd.
+    counts it; ``advance(m)`` counts m steps in one call.  Both cross each
+    multiple of ``LANES`` through ``_next_batch``: the flush, the bit guard
+    and the next batch.  ``_flush`` applies the steps drawn since the last
+    flush as words of ``block`` steps, and the shorter tail as one word, by
+    one composite entry each (see ``_Encoding``).  The flush carries P's
+    pending factor as two small integers, mul / div.  An entry first scales
+    N, D and mul by p**s for each prime p whose least prefix exponent falls
+    s below the floor, then adds the translation N += P * mul * C / (div * G)
+    (one exact division) when C != 0, then folds a = num / den into mul and
+    div.  The flush ends by bringing P up to date: one multiplication by
+    mul, one exact division by div.  Reads of ``a``, ``z``, ``state`` and
+    ``exponents`` flush first.  So after every flush P, N, D and the
+    exponents are those of stepping one atom at a time, and no step takes a
+    gcd.
+
+    ``lock``, ``probe``, ``step`` and ``advance`` reach the state only through
+    ``_flush``, ``_check_bits``, ``state``, ``exponents`` and ``a``.
     """
 
     __slots__ = (
-        "primes", "min_vb", "scale", "count", "_enc", "_batches", "_atoms", "_done",
-        "_exponents", "_floor", "_p", "_n", "_d",
+        "count", "_enc", "_batches", "_atoms", "_done", "_exponents", "_floor", "_p", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int):
-        self.primes = enc.primes
-        self.min_vb = enc.min_vb
-        self.scale = enc.scale
         self.count = 0
         self._enc = enc
         self._batches = _atom_batches(enc.thresholds, enc.offsets, seed)
@@ -212,9 +200,7 @@ class _Walker:
         i = self._atoms[count % 32]  # 32 = LANES
         self.count = count = count + 1
         if not count % 32:
-            self._flush()
-            self._check_bits()
-            self._atoms = next(self._batches)
+            self._next_batch()
         return i
 
     def advance(self, m: int) -> None:
@@ -226,9 +212,13 @@ class _Walker:
                 self.count = target
                 return
             self.count = count = edge
-            self._flush()
-            self._check_bits()
-            self._atoms = next(self._batches)
+            self._next_batch()
+
+    def _next_batch(self) -> None:
+        """At a batch edge: apply the batch, run the bit guard, draw the next batch."""
+        self._flush()
+        self._check_bits()
+        self._atoms = next(self._batches)
 
     def _flush(self) -> None:
         """Apply the steps drawn since the last flush; see the class docstring."""
@@ -240,7 +230,7 @@ class _Walker:
         drawn = self._atoms[start:start + count - done]
         enc = self._enc
         blocks, k = enc.blocks, enc.block
-        primes, exponents, floor = self.primes, self._exponents, self._floor
+        primes, exponents, floor = enc.primes, self._exponents, self._floor
         p, n, d = self._p, self._n, self._d
         mul = div = 1
         for at in range(0, len(drawn), k):
@@ -278,7 +268,7 @@ class _Walker:
         d_bits = self._d.bit_length()
         bound = (
             self._p.bit_length() + self._n.bit_length()
-            + 2 * d_bits + self.scale.bit_length()
+            + 2 * d_bits + self._enc.scale.bit_length()
         )
         if bound <= guard:
             return
@@ -315,7 +305,93 @@ class _Walker:
     @property
     def z(self) -> Fraction:
         self._flush()
-        return Fraction(self._n, self.scale * self._d)
+        return Fraction(self._n, self._enc.scale * self._d)
+
+    def lock(
+        self,
+        targets: Mapping[int, int],
+        margin: int,
+        step_cap: int,
+        real: Optional[tuple[float, Sequence[float]]] = None,
+    ) -> None:
+        """Step until every place has held its lock for ``margin`` consecutive steps.
+
+        A prime p with target t holds while v_p(A_n) >= t - min v_p(b), which
+        keeps every later increment A_n b in p^t Z_p; it always holds when
+        every b is 0.  ``real`` is (need, ln|a_i| per atom): R holds while
+        ln|A_n| <= need.  One joint counter stands for one counter per place:
+        each place has held for the last ``margin`` steps exactly when all
+        places held on each of them.  Raises StabilizationError once ``count``
+        reaches ``step_cap``.
+
+        The lock reads the atoms drawn but not yet taken, up to the end of the
+        batch or to ``step_cap``, one step at a time, and keeps its own v_p(A_n)
+        (and ln|A_n|) from each atom's moves; it then takes the steps read in
+        one ``advance``.
+        """
+        enc = self._enc
+        exponents = self.exponents
+        moves = [entry[4] for entry in enc.steps]
+        slots = []
+        for p, t in targets.items():
+            # a contracting prime divides some atom's linear part, so it has a slot
+            j = enc.primes.index(p)
+            if enc.min_vb[j] is not None:
+                slots.append((j, t - enc.min_vb[j]))
+        if real is not None:
+            real_need, log_abs = real
+            la = log_norm(self.a, INFINITE_PLACE)
+        held = 0
+        while held < margin:
+            count = self.count
+            if count >= step_cap:
+                raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
+            taken = 0
+            start = count % LANES
+            for i in self._atoms[start:start + step_cap - count]:
+                taken += 1
+                held += 1
+                for j, v, _ in moves[i]:
+                    exponents[j] += v
+                for j, need in slots:
+                    if exponents[j] < need:
+                        held = 0
+                if real is not None:
+                    la += log_abs[i]
+                    if la > real_need:
+                        held = 0
+                if held == margin:
+                    break
+            self.advance(taken)
+
+    def probe(
+        self, margin: int, targets: Mapping[int, int], real_bound: Optional[float] = None
+    ) -> tuple[Fraction, list[tuple[Place, bool]]]:
+        """Z now, and whether Z after ``margin`` more steps agrees with it per place.
+
+        The agreement list holds, for each prime p with target t in increasing
+        p, whether both values lie in the same ball of radius p^-t.  It is read
+        from the state's integers: with Z = N / (scale D) now (N0, D0) and
+        after (N1, D1), the difference is (N1 D0 - N0 D1) / (scale D0 D1), and
+        the balls agree when its v_p is at least t (v_p(0) is inf).  With
+        ``real_bound`` the list ends with R, which agrees while
+        ln|Z after - Z now| is at most that bound.  The walker is left at Z
+        after.
+        """
+        scale = self._enc.scale
+        _, n0, d0 = self.state
+        step = self.step
+        for _ in range(margin):
+            step()
+        _, n1, d1 = self.state
+        diff, den = n1 * d0 - n0 * d1, scale * d0 * d1
+        agreed = [
+            (p, valuation(diff, p) - valuation(den, p) >= t) for p, t in sorted(targets.items())
+        ]
+        if real_bound is not None:
+            close = not diff or log_norm(Fraction(diff, den), INFINITE_PLACE) <= real_bound
+            agreed.append((INFINITE_PLACE, close))
+        return Fraction(n0, scale * d0), agreed
 
 
 def sample_path(mu: StepDistribution, n: int, seed: int) -> Trajectory:
@@ -340,92 +416,6 @@ def _places(places: Iterable[Place], profile: Optional[DriftProfile] = None) -> 
         if profile is not None and p not in profile.contracting():
             raise ValueError(f"place {format_place(p)} does not contract (drift >= 0)")
     return places
-
-
-def _lock(
-    walker: _Walker,
-    targets: Mapping[int, int],
-    margin: int,
-    step_cap: int,
-    real: Optional[tuple[float, Sequence[float]]] = None,
-) -> None:
-    """Step until every place has held its lock for ``margin`` consecutive steps.
-
-    A prime p with target t holds while v_p(A_n) >= t - min v_p(b), which
-    keeps every later increment A_n b in p^t Z_p; it always holds when every
-    b is 0.  ``real`` is (need, ln|a_i| per atom): R holds while
-    ln|A_n| <= need.  One joint counter stands for one counter per place:
-    each place has held for the last ``margin`` steps exactly when all places
-    held on each of them.  Raises StabilizationError once ``walker.count``
-    reaches ``step_cap``.
-
-    The lock reads the atoms the walker has drawn but not yet taken, up to
-    the end of its batch or to ``step_cap``, one step at a time, and keeps
-    its own v_p(A_n) (and ln|A_n|) from each atom's moves; the walker then
-    takes the steps read in one ``advance``.
-    """
-    exponents = walker.exponents
-    moves = [entry[4] for entry in walker._enc.steps]
-    slots = []
-    for p, t in targets.items():
-        # a contracting prime divides some atom's linear part, so it has a slot
-        j = walker.primes.index(p)
-        if walker.min_vb[j] is not None:
-            slots.append((j, t - walker.min_vb[j]))
-    if real is not None:
-        real_need, log_abs = real
-        la = log_norm(walker.a, INFINITE_PLACE)
-    held = 0
-    while held < margin:
-        count = walker.count
-        if count >= step_cap:
-            raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
-        taken = 0
-        start = count % LANES
-        for i in walker._atoms[start:start + step_cap - count]:
-            taken += 1
-            held += 1
-            for j, v, _ in moves[i]:
-                exponents[j] += v
-            for j, need in slots:
-                if exponents[j] < need:
-                    held = 0
-            if real is not None:
-                la += log_abs[i]
-                if la > real_need:
-                    held = 0
-            if held == margin:
-                break
-        walker.advance(taken)
-
-
-def _probe(
-    walker: _Walker, margin: int, targets: Mapping[int, int], real_bound: Optional[float] = None
-) -> tuple[Fraction, list[tuple[Place, bool]]]:
-    """Z now, and whether Z after ``margin`` more steps agrees with it per place.
-
-    The agreement list holds, for each prime p with target t in increasing
-    p, whether both values lie in the same ball of radius p^-t.  It is read
-    from the walker's integers: with Z = N / (scale D) now (N0, D0) and after
-    (N1, D1), the difference is (N1 D0 - N0 D1) / (scale D0 D1), and the
-    balls agree when its v_p is at least t (v_p(0) is inf).  With
-    ``real_bound`` the list ends with R, which agrees while ln|Z after - Z now|
-    is at most that bound.  The walker is left at Z after.
-    """
-    scale = walker.scale
-    _, n0, d0 = walker.state
-    step = walker.step
-    for _ in range(margin):
-        step()
-    _, n1, d1 = walker.state
-    diff, den = n1 * d0 - n0 * d1, scale * d0 * d1
-    agreed = [
-        (p, valuation(diff, p) - valuation(den, p) >= t) for p, t in sorted(targets.items())
-    ]
-    if real_bound is not None:
-        close = not diff or log_norm(Fraction(diff, den), INFINITE_PLACE) <= real_bound
-        agreed.append((INFINITE_PLACE, close))
-    return Fraction(n0, scale * d0), agreed
 
 
 class BoundarySample(
@@ -494,9 +484,9 @@ def extract_boundary(
         real_bound = math.log(real_tol / 2)
 
     walker = _Walker(_encode(mu), seed)
-    _lock(walker, finite_targets, margin, step_cap, real)
+    walker.lock(finite_targets, margin, step_cap, real)
     lock_index = walker.count
-    rep, probes = _probe(walker, margin, finite_targets, real_bound)
+    rep, probes = walker.probe(margin, finite_targets, real_bound)
     real_interval = None
     if real_tol is not None:
         center = float(rep)
@@ -536,17 +526,20 @@ def boundary_digits(
 ) -> BoundaryDigits:
     """Walk until the first n_digits of Z_n in Q_p look stable, then expand.
 
-    Requires drift < 0 at p (exact sign test).  The walk runs until
-    v_p(A_n) >= n_digits - min v_p(b) + 1 holds for ``margin`` consecutive
-    steps; the returned digits are those of Z at that point.  The
-    continuation probe extends by another ``margin`` steps and re-expands;
-    agreement is recorded in ``probe_agreed``.
+    Requires drift < 0 at p (exact sign test).  The digits of Z sit at
+    exponents v .. v + n_digits - 1, v = v_p(Z), so the lock (see
+    ``extract_boundary``) targets max(n_digits + 1, v + n_digits): first
+    n_digits + 1, then, on the same seed, v + n_digits while the locked value
+    is nonzero and its v needs more.  The continuation probe extends by
+    another ``margin`` steps and re-expands; agreement is recorded in
+    ``probe_agreed``.
     """
     _require_count(n_digits, "precision", 1)
-    target = n_digits + 1  # one exponent of headroom over the digit window
-    sample = extract_boundary(
-        mu, seed, finite_targets={p: target}, margin=margin, step_cap=step_cap
-    )
+    target = n_digits + 1
+    sample = extract_boundary(mu, seed, {p: target}, margin=margin, step_cap=step_cap)
+    while sample.value and (need := valuation(sample.value, p) + n_digits) > target:
+        target = need
+        sample = extract_boundary(mu, seed, {p: target}, margin=margin, step_cap=step_cap)
     locked = expand(sample.value, p, n_digits)
     probe = expand(sample.probe_value, p, n_digits)
     return BoundaryDigits(

@@ -239,6 +239,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("lln43", "freq_threshold", 1.5), ("prop44", "freq_threshold", -0.5),
+         ("lln41", "final_bound", -1.0)],
+    )
+    def test_verdict_threshold_out_of_range_exits_2(self, tmp_path, capsys, command, key, value):
+        # exit 1 means a bound check failed, which a bad threshold must not fake
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**REV, command: {**_BASE_SECTIONS[command], key: value}}))
+        assert main(["--config", str(cfg), command]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "must" in err
+
 
 # a cheap valid section per subcommand: grids stay at n <= 10 and samples at 2
 _BASE_SECTIONS = {
@@ -598,6 +612,7 @@ class TestOutputs:
         assert target.read_text() == "earlier report\n"
 
     def test_boundary_roundtrip(self, rev_config, capsys):
+        # seed 11 locks a value with v_2 = 4, so its 8 digits need a lock at exponent 12
         assert main(
             ["--config", rev_config, "--seed", "11", "boundary",
              "--p", "2", "--digits", "8"]
@@ -605,7 +620,7 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "base 2" in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c720b97f7b6642bed4e3bd2ffcdba229308fd56821c1861ad4e4c9bfb65f3902"
+            "b03165a95c93dfb75ae85bb6359bf692716077639a20f79dd78585f49c55085d"
         )
 
 

@@ -34,7 +34,7 @@ from affwalk.experiments import (
     run_walk,
 )
 from affwalk.exact import height, log_norm_plus
-from affwalk.measure import measure_config, power, q_approximant
+from affwalk.measure import drift_profile, measure_config, power, q_approximant
 from affwalk.padic import ball_key_exact
 from affwalk.prng import replica_seed
 
@@ -198,6 +198,24 @@ class TestMonteCarloSuites:
         assert len(rep.rows) == samples
         assert abs(got - mean) <= 4 * math.sqrt(variance / samples)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lln43_frequency_matches_exact_law(self, mu_rev, seed):
+        # the event <Z_n>_P^+ / n <= bound is a function of Z_n, so its
+        # probability is an exact sum over power(mu, n): 0.8591 at P = {inf},
+        # eps = 0.1 and n = 8.  The final frequency must lie within 4 standard
+        # errors of it, a width fixed before the first run
+        n, samples = 8, 4000
+        bound = drift_profile(mu_rev).phi_plus(INFINITE_PLACE) + 0.1
+        exact = math.fsum(
+            float(w)
+            for g, w in power(mu_rev, n).as_dict().items()
+            if log_norm_plus(g.b, INFINITE_PLACE) / n <= bound
+        )
+        rep = run_lln43(mu_rev, [INFINITE_PLACE], n_grid=[n], samples=samples, seed=seed)
+        assert rep.summary["bound"] == bound
+        error = math.sqrt(exact * (1 - exact) / samples)
+        assert abs(rep.summary["final_frequency"] - exact) <= 4 * error
+
     def test_lln41_decreases(self, mu_bias):
         rep = run_lln41(mu_bias, n_grid=[50, 100, 200], samples=30, seed=2)
         means = rep.summary["means"]
@@ -230,6 +248,48 @@ class TestMonteCarloSuites:
         monkeypatch.setattr(experiments, "_Walker", unbuilt)
         with pytest.raises(ValueError, match="^epsilon must be finite and positive$"):
             run(mu_rev, epsilon)
+
+    @pytest.mark.parametrize(
+        "suite, keyword, value, message",
+        [
+            *[
+                (suite, "freq_threshold", value, r"^frequency threshold must lie in \[0, 1\]$")
+                for suite in ("lln43", "prop44")
+                for value in (1.5, -1.0, math.nan, math.inf)
+            ],
+            *[
+                ("stationarity", "tv_threshold", value, r"^TV threshold must lie in \(0, 1\]$")
+                for value in (-1.0, 0.0, 2.0, math.nan)
+            ],
+            *[
+                ("lln41", "final_bound", value, "^final bound must be finite and positive$")
+                for value in (math.nan, math.inf, 0.0, -1.0)
+            ],
+        ],
+    )
+    def test_verdict_threshold_checked_before_any_walk(
+        self, mu_rev, monkeypatch, suite, keyword, value, message
+    ):
+        # outside its range a threshold decides the verdict whatever the walks read
+        def unbuilt(*args):
+            raise AssertionError("a walker was built")
+
+        monkeypatch.setattr(experiments, "_Walker", unbuilt)
+        runs = {
+            "lln41": lambda **kw: run_lln41(mu_rev, n_grid=[10], samples=4, **kw),
+            "lln43": lambda **kw: run_lln43(mu_rev, [2], n_grid=[10], samples=4, **kw),
+            "prop44": lambda **kw: run_prop44(mu_rev, [2], n_grid=[10], samples=4, **kw),
+            "stationarity": lambda **kw: run_stationarity(mu_rev, 2, 4, 10, samples=4, **kw),
+        }
+        with pytest.raises(ValueError, match=message):
+            runs[suite](**{keyword: value})
+
+    def test_verdict_thresholds_at_their_range_ends(self, mu_rev):
+        for threshold in (0.0, 1.0):
+            rep = run_lln43(mu_rev, [2], n_grid=[10], samples=4, freq_threshold=threshold)
+            assert rep.passed is (rep.summary["final_frequency"] >= threshold)
+        rep = run_stationarity(mu_rev, 2, 4, 10, samples=4, tv_threshold=1.0)
+        assert rep.passed is (rep.summary["tv_distance"] < 1.0)
 
     def test_prop44_validates_place_set(self, mu_rev):
         # the infinite place does not contract for mu_rev
@@ -348,7 +408,7 @@ class TestMonteCarloSuites:
         assert len(walkers) == 1
 
     def test_prop44_margin_checked_before_any_walk(self, mu_rev, monkeypatch):
-        # the replicas' _probe takes the margin unchecked, so the suite checks it first
+        # the replicas' probe takes the margin unchecked, so the suite checks it first
         walkers = []
         walker_class = experiments._Walker
 
@@ -366,14 +426,14 @@ class TestMonteCarloSuites:
         # each replica walks the lock index of its probe_miss row plus margin
         # steps, the count the benchmark's work rests on
         walked = []
-        probe = experiments._probe
+        probe = experiments._Walker.probe
 
         def counted(walker, *args):
             result = probe(walker, *args)
             walked.append(walker.count)
             return result
 
-        monkeypatch.setattr(experiments, "_probe", counted)
+        monkeypatch.setattr(experiments._Walker, "probe", counted)
         rep = run_stationarity(mu_rev, 2, radius, n, samples=40, seed=9, margin=7)
         rows = [r for r in rep.rows if r.statistic == "probe_miss"]
         assert walked == [r.n + 7 for r in rows]

@@ -31,7 +31,7 @@ from affwalk import (
 )
 from affwalk import experiments, measure, walk
 from affwalk.measure import drift_profile, validate
-from affwalk.padic import ball_key_exact
+from affwalk.padic import ball_key_exact, expand
 from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
 from affwalk.walk import _encode, _Walker
 
@@ -162,6 +162,22 @@ class TestBoundaryDigits:
     def test_step_cap_raises(self, mu_rev):
         with pytest.raises(StabilizationError):
             boundary_digits(mu_rev, 2, 64, seed=0, step_cap=30)
+
+    def test_lock_covers_the_digit_window(self, mu_rev):
+        # the digits sit at exponents v .. v + 15 with v = v_2(Z); among seeds
+        # 0-499, 69, 181, 213, 385, 407 and 451 lock a value with v from 8 to
+        # 20, whose last digits a lock at exponent 17 left unlocked
+        for seed in range(500):
+            got = boundary_digits(mu_rev, 2, 16, seed)
+            deep = extract_boundary(mu_rev, seed, {2: 100})
+            assert got.expansion == expand(deep.value, 2, 16), seed
+            assert got.probe_agreed, seed
+        # v = 0 and v = -1 need no second lock: their lock index stays that of exponent 17
+        for seed in (5, 7):
+            got = boundary_digits(mu_rev, 2, 16, seed)
+            assert valuation(got.value, 2) <= 1
+            once = extract_boundary(mu_rev, seed, {2: 17})
+            assert got.stabilization_index == once.stabilization_index
 
 
 class TestRealLimit:
@@ -447,7 +463,7 @@ class TestIntegerEngine:
             assert mu.support[walker.step()] == g
             assert walker.a == a
             assert walker.z == z
-            for p, v in zip(walker.primes, walker.exponents):
+            for p, v in zip(walker._enc.primes, walker.exponents):
                 assert v == valuation(a, p)
         assert walker.count == n
 
@@ -473,7 +489,7 @@ class TestIntegerEngine:
                 assert walker.z == z
         _, a, _ = reference[-1]
         assert walker.count == n
-        assert walker.exponents == [valuation(a, p) for p in walker.primes]
+        assert walker.exponents == [valuation(a, p) for p in walker._enc.primes]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -724,12 +740,13 @@ class TestAdvance:
 def _reference_lock(walker, targets, margin, step_cap, real=None):
     """The lock as one ``step`` call per step: the scanning lock's oracle."""
     exponents = walker.exponents
-    moves = [entry[4] for entry in walker._enc.steps]
+    enc = walker._enc
+    moves = [entry[4] for entry in enc.steps]
     slots = []
     for p, t in targets.items():
-        j = walker.primes.index(p)
-        if walker.min_vb[j] is not None:
-            slots.append((j, t - walker.min_vb[j]))
+        j = enc.primes.index(p)
+        if enc.min_vb[j] is not None:
+            slots.append((j, t - enc.min_vb[j]))
     if real is not None:
         real_need, log_abs = real
         la = log_norm(walker.a, INFINITE_PLACE)
@@ -798,7 +815,7 @@ class TestLockOracle:
                 walker.step()
         # a small cap, so that many draws stop on it
         args = (targets, margin, before + room, real)
-        assert _lock_outcome(walk._lock, scanned, *args) == _lock_outcome(
+        assert _lock_outcome(_Walker.lock, scanned, *args) == _lock_outcome(
             _reference_lock, stepped, *args
         )
         assert _state(scanned) == _state(stepped)
@@ -817,7 +834,7 @@ _PROBE_LAWS = [
 
 
 class TestProbeOracle:
-    """``_probe`` decides from the walker's integers what ball keys decide on Z."""
+    """``probe`` decides from the walker's integers what ball keys decide on Z."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -847,7 +864,7 @@ class TestProbeOracle:
             probed, twin = _Walker(enc, seed), _Walker(enc, seed)
             probed.advance(before)
             twin.advance(before)
-            rep, agreed = walk._probe(probed, margin, targets, real_bound)
+            rep, agreed = probed.probe(margin, targets, real_bound)
             now = twin.z
             twin.advance(margin)
             after = twin.z
@@ -877,7 +894,7 @@ class TestProbeOracle:
             walker.advance(n)
             a_n, z_n = walker.a, walker.z
             target = radius + max(valuation(a_n, p), 0) + 1
-            walk._lock(walker, {p: target}, margin, walk.DEFAULT_STEP_CAP)
+            walker.lock({p: target}, margin, walk.DEFAULT_STEP_CAP)
             rep = walker.z
             tail = (rep - z_n) / a_n
             expected = (ball_key_exact(rep, p, radius), ball_key_exact(tail, p, radius))
