@@ -119,7 +119,7 @@ _REPLICAS = {"n_grid": ("n_grid", _grid), "samples": ("replicas", _integral), "s
 _PARAMS: dict[str, dict] = {
     "validate": {},
     "drift": {},
-    "gauge": {"k": ("k", _finite), "k_max": ("k_max", _finite)},
+    "gauge": {"k": ("k", _finite)},
     "walk": {"n": ("n", _integral), "seed": _SEED, "primes": ("p", _primes)},
     "boundary": {
         "p": ("p", _place),

@@ -256,8 +256,8 @@ def run_drift(mu: StepDistribution) -> Report:
     )
 
 
-def run_gauge(k: float, k_max: float = GAUGE_K_MAX) -> Report:
-    elements = gauge_enumerate(k, k_max)
+def run_gauge(k: float) -> Report:
+    elements = gauge_enumerate(k)
     bound = gauge_count_bound(k)
     count = len(elements)
     rows = [
@@ -266,7 +266,7 @@ def run_gauge(k: float, k_max: float = GAUGE_K_MAX) -> Report:
     ]
     return Report(
         name="gauge",
-        config={"k": k, "k_max": k_max},
+        config={"k": k, "k_max": GAUGE_K_MAX},
         rows=rows,
         summary={"count": count, "bound": bound},
         passed=count <= bound,

@@ -31,7 +31,7 @@ __all__ = [
 # ln-norm <= k + BOUNDARY_TOL counts as inside).
 BOUNDARY_TOL = 1e-12
 
-# Default cap on the gauge enumeration radius.
+# Cap on the gauge enumeration radius; a larger radius is refused.
 GAUGE_K_MAX = 5.0
 
 
@@ -121,7 +121,7 @@ def _coprime_pairs_max_bounded(limit: float) -> Iterable[tuple[int, int]]:
                 yield r, s
 
 
-def gauge_enumerate(k: float, k_max: float = GAUGE_K_MAX) -> list[AffineMap]:
+def gauge_enumerate(k: float) -> list[AffineMap]:
     """All (a, b) with height(a) + height_plus(b) <= k, sorted canonically.
 
     This is the norm ball whose inverse image is the gauge of center (1, 0):
@@ -131,8 +131,8 @@ def gauge_enumerate(k: float, k_max: float = GAUGE_K_MAX) -> list[AffineMap]:
     height_plus(r'/s') = ln(max(r', s')) over coprime pairs; boundary ties
     are kept within BOUNDARY_TOL.
     """
-    if k > k_max:
-        raise ValueError(f"radius {k} above enumeration cap {k_max}")
+    if k > GAUGE_K_MAX:
+        raise ValueError(f"radius {k} above enumeration cap {GAUGE_K_MAX}")
     out: set[AffineMap] = set()
     if k < 0:
         return []

@@ -75,11 +75,10 @@ class Trajectory(namedtuple("Trajectory", "seed steps")):
 class _Encoding:
     """Integer form of a step law's atoms, built once per law and process.
 
-    ``offsets`` is the law's packed-pick rule (see ``lane_offsets``).
-    ``primes`` are the primes dividing some atom's linear part.  ``steps[i]``
-    is atom i's entry (see ``entry``), over the lcm ``scale`` of the b
-    denominators.  ``min_vb[j]`` is the least v_p(b_i) over atoms with
-    b_i != 0 for p = primes[j], None when every b is 0.
+    ``batches`` draws a seed's atom indices.  ``primes`` are the primes
+    dividing some atom's linear part.  ``steps[i]`` is atom i's entry (see
+    ``entry``), over the lcm ``scale`` of the b denominators.  ``min_vb[j]``
+    is the least v_p(b_i) for p = primes[j], +inf when every b is 0.
 
     ``blocks`` maps a word of atom indices (bytes or a tuple) to its entry:
     words of length ``block``, the shorter tails a flush ends on, and their
@@ -103,10 +102,7 @@ class _Encoding:
             )
             for i, g in enumerate(atoms)
         )
-        self.min_vb = tuple(
-            min((valuation(g.b, p) for g in atoms if g.b != 0), default=None)
-            for p in self.primes
-        )
+        self.min_vb = tuple(min(valuation(g.b, p) for g in atoms) for p in self.primes)
         # the longest power-of-2 block, up to LANES, whose words fit the table;
         # past _BLOCK_ENTRIES atoms that is 1, and every word is one atom's entry
         self.block = LANES
@@ -116,6 +112,23 @@ class _Encoding:
 
     def __getstate__(self):
         return {**self.__dict__, "blocks": {}}
+
+    def batches(self, seed: int) -> Iterator[Sequence[int]]:
+        """Atom indices of one seed's stream, ``LANES`` draws at a time.
+
+        Draw k is ``pick_index`` of output k of ``SplitMix64(seed)``.  With the
+        law's ``lane_offsets`` it picks every lane in one packed compare
+        (``pick_lanes``, yielding bytes); a law above ``PACKED_ATOMS`` atoms has
+        none and picks lane by lane (yielding tuples).
+        """
+        state = seed
+        if self.offsets is not None:
+            while True:
+                state, atoms = pick_lanes(state, self.offsets)
+                yield atoms
+        while True:
+            state, lanes = next_u64_lanes(state)
+            yield tuple([pick_index(u, self.thresholds) for u in lanes])
 
     def entry(self, word: Sequence[int]) -> tuple:
         """(C, G, num, den, moves) of the word's composite step g = (a, b).
@@ -152,7 +165,8 @@ _encode = lru_cache(maxsize=16)(_Encoding)
 class _Walker:
     """Walk state in integers, with exact (A, Z) on read and a bit-size guard.
 
-    ``primes``, ``scale`` and the entries are those of the encoding ``_enc``.
+    ``primes``, ``scale``, the entries and the atom draws (``batches``) are
+    those of the encoding ``_enc``.
     A_n = +-prod primes[j]**exponents[j].  With ``_floor[j]`` the lowest
     exponent so far (never above 0) and D = prod primes[j]**-_floor[j], the
     state keeps the integers N = Z_n * scale * D and D, and the slope integer
@@ -185,7 +199,7 @@ class _Walker:
     def __init__(self, enc: _Encoding, seed: int):
         self.count = 0
         self._enc = enc
-        self._batches = _atom_batches(enc.thresholds, enc.offsets, seed)
+        self._batches = enc.batches(seed)
         self._atoms = next(self._batches)
         self._done = 0  # steps applied to the state
         self._exponents = [0] * len(enc.primes)  # v_p(A_n), in the order of primes
@@ -332,12 +346,10 @@ class _Walker:
         enc = self._enc
         exponents = self.exponents
         moves = [entry[4] for entry in enc.steps]
-        slots = []
-        for p, t in targets.items():
-            # a contracting prime divides some atom's linear part, so it has a slot
-            j = enc.primes.index(p)
-            if enc.min_vb[j] is not None:
-                slots.append((j, t - enc.min_vb[j]))
+        # a contracting prime divides some atom's linear part, so it has a slot;
+        # with every b = 0 its need is t - inf = -inf, which always holds
+        index = enc.primes.index
+        slots = [(index(p), t - enc.min_vb[index(p)]) for p, t in targets.items()]
         if real is not None:
             real_need, log_abs = real
             la = log_norm(self.a, INFINITE_PLACE)
@@ -552,26 +564,6 @@ def boundary_digits(
     )
 
 
-def _atom_batches(
-    thresholds: Sequence[int], offsets: Optional[Sequence[int]], seed: int
-) -> Iterator[Sequence[int]]:
-    """Atom indices of one seed's stream, ``LANES`` draws at a time.
-
-    Draw k is ``pick_index`` of output k of ``SplitMix64(seed)``.  With the
-    law's ``lane_offsets`` it picks every lane in one packed compare
-    (``pick_lanes``, yielding bytes); a law above ``PACKED_ATOMS`` atoms has
-    none and picks lane by lane (yielding tuples).
-    """
-    state = seed
-    if offsets is not None:
-        while True:
-            state, atoms = pick_lanes(state, offsets)
-            yield atoms
-    while True:
-        state, lanes = next_u64_lanes(state)
-        yield tuple([pick_index(u, thresholds) for u in lanes])
-
-
 def _increment_valuations(mu: StepDistribution, place: Place, seed: int) -> Iterator:
     """v(A_{k-1} b_k) for k = 1, 2, ... along one seed's walk.
 
@@ -588,9 +580,8 @@ def _increment_valuations(mu: StepDistribution, place: Place, seed: int) -> Iter
         return log_norm(q, place) if q else -math.inf
 
     va, vb = [v(g.a) for g in mu.support], [v(g.b) for g in mu.support]
-    enc = _encode(mu)
     running = 0  # v(A_{k-1})
-    for j in chain.from_iterable(_atom_batches(enc.thresholds, enc.offsets, seed)):
+    for j in chain.from_iterable(_encode(mu).batches(seed)):
         yield running + vb[j]
         running += va[j]
 

@@ -258,7 +258,7 @@ class TestExitCodes:
 _BASE_SECTIONS = {
     "validate": {},
     "drift": {},
-    "gauge": {"k": 1, "k_max": 2},
+    "gauge": {"k": 1},
     "walk": {"n": 10, "primes": [2], "seed": 1},
     "boundary": {"p": 2, "digits": 4, "margin": 2, "step_cap": 1000, "seed": 1},
     "lln41": {"n_grid": [5, 10], "samples": 2, "seed": 1, "final_bound": 0.5},
@@ -386,7 +386,7 @@ _MINIMAL = {
 _FLAG_SETS = {
     "validate": set(),
     "drift": set(),
-    "gauge": {"--k", "--k-max"},
+    "gauge": {"--k"},
     "walk": {"--n", "--p"},
     "boundary": {"--p", "--digits", "--margin"},
     "lln41": {"--n-grid"},

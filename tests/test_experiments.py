@@ -216,6 +216,33 @@ class TestMonteCarloSuites:
         error = math.sqrt(exact * (1 - exact) / samples)
         assert abs(rep.summary["final_frequency"] - exact) <= 4 * error
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prop44_mean_matches_exact_law(self, mu_rev, seed):
+        # at P = {2} the co-truncated set is {inf}, so the height and
+        # co-truncated terms are functions of x_n; with rep = Z_2n the
+        # boundary term <(rep - Z_n) / A_n>_2^+ is one of the independent
+        # increment x_n^-1 x_2n, which has the law of x_n.  Means and
+        # variances are exact sums over power(mu, n), and the Monte Carlo mean
+        # must lie within 4 standard errors of the exact mean
+        n, samples = 8, 4000
+        q = q_approximant(drift_profile(mu_rev), n)
+        table = power(mu_rev, n).as_dict().items()
+        head = [
+            (float(w), (height(q / g.a) + log_norm_plus(g.b / g.a, INFINITE_PLACE)) / n)
+            for g, w in table
+        ]
+        tail = [(float(w), log_norm_plus(g.b, 2) / n) for g, w in table]
+        mean = variance = 0.0
+        for law in (head, tail):
+            m = math.fsum(w * h for w, h in law)
+            mean += m
+            variance += math.fsum(w * (h - m) ** 2 for w, h in law)
+        rep = run_prop44(mu_rev, [2], n_grid=[n], samples=samples, seed=seed, stab_factor=2)
+        values = [r.value for r in rep.rows if r.statistic == "adelic_rate"]
+        assert len(values) == samples
+        got = math.fsum(values) / samples
+        assert abs(got - mean) <= 4 * math.sqrt(variance / samples)
+
     def test_lln41_decreases(self, mu_bias):
         rep = run_lln41(mu_bias, n_grid=[50, 100, 200], samples=30, seed=2)
         means = rep.summary["means"]

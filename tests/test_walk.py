@@ -86,6 +86,10 @@ _atoms = st.lists(
 )
 _MIXED = [(F(6, 35), F(0), 2), (F(-3), F(5, 6), 1), (F(-1, 4), F(-2, 9), 1)]
 _REV = [(F(2), F(0), 3), (F(1, 2), F(1), 1)]
+# above PACKED_ATOMS atoms, so drawn lane by lane; its drift at 3 is 0, where
+# v_3(A_n) stays 0 and its divergence statistic is 0 whatever the draws, so
+# the tests read it on R too
+_WIDE = [(F(2), F(i), 1) for i in range(18)]
 # reads whose flushes end on a tail of every length 1 to 7, below a block of 8
 # steps: alone (steps 1 to 28), then after one whole block (steps 41 and 55)
 _TAIL_READS = {
@@ -374,6 +378,8 @@ class TestValuationWalkReference:
     )
     @example(_MIXED, 3, 7, 2, 5)
     @example([(F(2), F(0), 1), (F(-1, 2), F(1), 1)], INFINITE_PLACE, 300, 3, 0)
+    @example(_WIDE, 3, 300, 2, 5)
+    @example(_WIDE, INFINITE_PLACE, 300, 2, 5)
     def test_divergence_matches_draw_by_draw(self, atoms, place, n, samples, seed):
         mu = _measure(atoms)
         if place in drift_profile(mu).contracting():
@@ -391,6 +397,7 @@ class TestValuationWalkReference:
         _atoms, st.sampled_from([2, 3]), st.integers(1, 300), st.integers(0, 2**64 - 1)
     )
     @example(_MIXED, 2, 7, 5)
+    @example(_WIDE, 3, 300, 3)
     def test_increment_rate_matches_draw_by_draw(self, atoms, p, n, seed):
         mu = _measure(atoms)
         if all(g.b == 0 for g in mu.support):
