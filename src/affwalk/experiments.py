@@ -491,12 +491,11 @@ def _prop44_replica(
     cotrunc: tuple[Place, ...],
     n_stab: int,
     margin: int,
-    finite_probe: dict[int, int],
-    real_probe: Optional[float],
+    probe_targets: dict[Place, float],
 ) -> tuple[int, list[tuple[float, float]], tuple[Row]]:
     """(seed, height ratio and adelic rate at each grid point, the probe_miss row)."""
     walker, snaps = _grid_walk(encoding, seed, list(targets), n_stab)
-    rep, agreed = walker.probe(margin, finite_probe, real_probe)
+    rep, agreed = walker.probe(margin, probe_targets)
     points = []
     for n, (a, z) in zip(targets, snaps):
         first = height(targets[n] / a) / n
@@ -541,14 +540,13 @@ def run_prop44(
     bound = math.fsum(profile.phi_minus(p) for p in cotrunc) + epsilon
     n_stab = stab_factor * max(grid)
     exact = profile.exact()
-    finite_probe = {
-        p: math.ceil(max(grid) * exact[p]) + 1
+    # v(Z_after - Z_now) >= t: a prime's t is an exponent, R's is -ln of a distance
+    probe_targets = {
+        p: -max(grid) * profile.infinite_drift
+        if p == INFINITE_PLACE
+        else math.ceil(max(grid) * exact[p]) + 1
         for p in places
-        if p != INFINITE_PLACE
     }
-    real_probe = (
-        max(grid) * profile.infinite_drift if INFINITE_PLACE in places else None
-    )
     replica = partial(
         _prop44_replica,
         encoding=_encode(mu),
@@ -557,8 +555,7 @@ def run_prop44(
         cotrunc=cotrunc,
         n_stab=n_stab,
         margin=margin,
-        finite_probe=finite_probe,
-        real_probe=real_probe,
+        probe_targets=probe_targets,
     )
 
     def verdict(columns, rows):

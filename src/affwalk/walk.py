@@ -5,10 +5,11 @@ product is x_n = (A_n, Z_n) with A_n = a_1...a_n and Z_n = sum A_{k-1} b_k,
 kept in integer form and read as exact rationals.  On a place with negative
 drift the translation part converges, and the boundary is the product of
 those places: one locked rational Z_N stands for the boundary point in every
-contracting place at once.  One lock rule serves every caller: walk until
-v_p(A_n) (or |A_n| on R) has been past its target for ``margin`` consecutive
-steps, then probe by walking ``margin`` steps further and re-checking.  The
-probe outcome is recorded, never silently trusted.
+contracting place at once.  One rule serves every place, with v = v_p at a
+prime, v_inf = -ln|.| on R and v(0) = inf: lock at target t until
+v(A_n) >= t - min v(b) has held for ``margin`` consecutive steps, then probe
+``margin`` steps further for v(Z_after - Z_now) >= t.  The probe outcome is
+recorded, never silently trusted.
 """
 
 from __future__ import annotations
@@ -72,13 +73,22 @@ class Trajectory(namedtuple("Trajectory", "seed steps")):
         return len(self.steps)
 
 
+def _v(q, place: Place):
+    """v_p(q) at a prime p, v_inf(q) = -ln|q| on R, and inf at q = 0."""
+    if place != INFINITE_PLACE:
+        return valuation(q, place)
+    return -log_norm(q, place) if q else math.inf
+
+
 class _Encoding:
     """Integer form of a step law's atoms, built once per law and process.
 
     ``batches`` draws a seed's atom indices.  ``primes`` are the primes
-    dividing some atom's linear part.  ``steps[i]`` is atom i's entry (see
-    ``entry``), over the lcm ``scale`` of the b denominators.  ``min_vb[j]``
-    is the least v_p(b_i) for p = primes[j], +inf when every b is 0.
+    dividing some atom's linear part, and ``places`` is them and R, last.
+    ``steps[i]`` is atom i's entry (see ``entry``), over the lcm ``scale`` of
+    the b denominators, and ``v_inf[i]`` is v_inf(a_i).  ``min_vb[j]`` is
+    the least v(b_i) at ``places[j]``, +inf when every b is 0; on R it is
+    -ln of max |b_i| rounded to a float, where a nonzero float holds it.
 
     ``blocks`` maps a word of atom indices (bytes or a tuple) to its entry:
     words of length ``block``, the shorter tails a flush ends on, and their
@@ -102,7 +112,14 @@ class _Encoding:
             )
             for i, g in enumerate(atoms)
         )
-        self.min_vb = tuple(min(valuation(g.b, p) for g in atoms) for p in self.primes)
+        self.places = (*self.primes, INFINITE_PLACE)
+        self.v_inf = tuple(_v(g.a, INFINITE_PLACE) for g in atoms)
+        max_b = max(abs(g.b) for g in atoms)
+        try:
+            real_vb = -math.log(float(max_b))
+        except (OverflowError, ValueError):  # max_b is 0, or no float holds it
+            real_vb = _v(max_b, INFINITE_PLACE)
+        self.min_vb = (*(min(valuation(g.b, p) for g in atoms) for p in self.primes), real_vb)
         # the longest power-of-2 block, up to LANES, whose words fit the table;
         # past _BLOCK_ENTRIES atoms that is 1, and every word is one atom's entry
         self.block = LANES
@@ -321,38 +338,31 @@ class _Walker:
         self._flush()
         return Fraction(self._n, self._enc.scale * self._d)
 
-    def lock(
-        self,
-        targets: Mapping[int, int],
-        margin: int,
-        step_cap: int,
-        real: Optional[tuple[float, Sequence[float]]] = None,
-    ) -> None:
+    def lock(self, targets: Mapping[Place, float], margin: int, step_cap: int) -> None:
         """Step until every place has held its lock for ``margin`` consecutive steps.
 
-        A prime p with target t holds while v_p(A_n) >= t - min v_p(b), which
-        keeps every later increment A_n b in p^t Z_p; it always holds when
-        every b is 0.  ``real`` is (need, ln|a_i| per atom): R holds while
-        ln|A_n| <= need.  One joint counter stands for one counter per place:
+        A place with target t holds while v(A_n) >= t - min v(b), so every
+        later increment A_n b has v at least t (p^t Z_p at a prime p, at most
+        e^-t in size on R); with every b = 0 the need is t - inf = -inf, which
+        always holds.  One joint counter stands for one counter per place:
         each place has held for the last ``margin`` steps exactly when all
         places held on each of them.  Raises StabilizationError once ``count``
         reaches ``step_cap``.
 
         The lock reads the atoms drawn but not yet taken, up to the end of the
-        batch or to ``step_cap``, one step at a time, and keeps its own v_p(A_n)
-        (and ln|A_n|) from each atom's moves; it then takes the steps read in
-        one ``advance``.
+        batch or to ``step_cap``, one step at a time, and keeps its own v(A_n)
+        per place from each atom's moves; it then takes the steps read in one
+        ``advance``.  R's level is kept only when R is a target.
         """
         enc = self._enc
-        exponents = self.exponents
+        levels = self.exponents
         moves = [entry[4] for entry in enc.steps]
-        # a contracting prime divides some atom's linear part, so it has a slot;
-        # with every b = 0 its need is t - inf = -inf, which always holds
-        index = enc.primes.index
+        if INFINITE_PLACE in targets:
+            levels.append(_v(self.a, INFINITE_PLACE))
+            moves = [(*m, (len(enc.primes), v, 0)) for m, v in zip(moves, enc.v_inf)]
+        # every contracting place is in places: a prime divides some atom's linear part
+        index = enc.places.index
         slots = [(index(p), t - enc.min_vb[index(p)]) for p, t in targets.items()]
-        if real is not None:
-            real_need, log_abs = real
-            la = log_norm(self.a, INFINITE_PLACE)
         held = 0
         while held < margin:
             count = self.count
@@ -364,31 +374,27 @@ class _Walker:
                 taken += 1
                 held += 1
                 for j, v, _ in moves[i]:
-                    exponents[j] += v
+                    levels[j] += v
                 for j, need in slots:
-                    if exponents[j] < need:
-                        held = 0
-                if real is not None:
-                    la += log_abs[i]
-                    if la > real_need:
+                    if levels[j] < need:
                         held = 0
                 if held == margin:
                     break
             self.advance(taken)
 
     def probe(
-        self, margin: int, targets: Mapping[int, int], real_bound: Optional[float] = None
+        self, margin: int, targets: Mapping[Place, float]
     ) -> tuple[Fraction, list[tuple[Place, bool]]]:
         """Z now, and whether Z after ``margin`` more steps agrees with it per place.
 
-        The agreement list holds, for each prime p with target t in increasing
-        p, whether both values lie in the same ball of radius p^-t.  It is read
-        from the state's integers: with Z = N / (scale D) now (N0, D0) and
-        after (N1, D1), the difference is (N1 D0 - N0 D1) / (scale D0 D1), and
-        the balls agree when its v_p is at least t (v_p(0) is inf).  With
-        ``real_bound`` the list ends with R, which agrees while
-        ln|Z after - Z now| is at most that bound.  The walker is left at Z
-        after.
+        The agreement list holds, for each place with target t in increasing
+        order (R last), whether v(Z after - Z now) >= t, with v(0) = inf: at a
+        prime p, whether both values lie in the same ball of radius p^-t, and
+        on R, whether they lie within e^-t.  It is read from the state's
+        integers: with Z = N / (scale D) now (N0, D0) and after (N1, D1), the
+        difference is (N1 D0 - N0 D1) / (scale D0 D1), whose v_p a prime takes
+        as v_p of the numerator minus v_p of the denominator.  The walker is
+        left at Z after.
         """
         scale = self._enc.scale
         _, n0, d0 = self.state
@@ -397,12 +403,13 @@ class _Walker:
             step()
         _, n1, d1 = self.state
         diff, den = n1 * d0 - n0 * d1, scale * d0 * d1
-        agreed = [
-            (p, valuation(diff, p) - valuation(den, p) >= t) for p, t in sorted(targets.items())
-        ]
-        if real_bound is not None:
-            close = not diff or log_norm(Fraction(diff, den), INFINITE_PLACE) <= real_bound
-            agreed.append((INFINITE_PLACE, close))
+        agreed = []
+        for p, t in sorted(targets.items()):
+            if p == INFINITE_PLACE:
+                v = _v(Fraction(diff, den), p)
+            else:
+                v = valuation(diff, p) - valuation(den, p)
+            agreed.append((p, v >= t))
         return Fraction(n0, scale * d0), agreed
 
 
@@ -462,13 +469,14 @@ def extract_boundary(
 ) -> BoundarySample:
     """Run one walk until every requested place's coordinate looks locked.
 
-    For a finite prime p with target exponent t, the lock criterion is
-    v_p(A_n) >= t - min_b v_p(b) holding for ``margin`` consecutive steps,
-    which keeps every further increment A_n b divisible by p^t.  For the
-    infinite place the criterion is |A_n| * max|b| <= tol * safety with the
+    A prime p with target exponent t, and R with t = -ln(tol * safety), lock
+    by one rule (v = v_p, v_inf = -ln|.| on R): v(A_n) >= t - min_b v(b) for
+    ``margin`` consecutive steps, which keeps every further increment A_n b
+    at v >= t.  On R that is |A_n| * max|b| <= tol * safety, with the
     geometric-series headroom safety = (1 - e^drift)/2.  The guarantee is
-    probabilistic: after locking, the walk is extended by ``margin`` steps
-    and each place's resolution re-checked; outcomes land in ``probes``.
+    probabilistic: the walk is extended by ``margin`` steps and each place
+    probed for v(Z_after - Z_now) >= t, R's t being -ln(tol / 2); outcomes
+    land in ``probes``.  A tolerance whose targets are not finite is refused.
     With ``real_tol`` the sample's ``real_interval`` encloses the real limit
     within tol (plus float slack).  The prefix of the same walk is
     ``sample_path(mu, n, seed)``.  The walk stops at ``step_cap`` steps
@@ -484,21 +492,20 @@ def extract_boundary(
         raise ValueError("no place to lock")
     profile = drift_profile(mu)
     _places([*finite_targets, *([INFINITE_PLACE] if real_tol is not None else [])], profile)
-    real = real_bound = None
+    lock_targets = probe_targets = finite_targets
     if real_tol is not None:
         if not 0 < real_tol < math.inf:
             raise ValueError("tolerance must be finite and positive")
         safety = (1.0 - math.exp(profile.infinite_drift)) / 2.0
-        max_b = max(abs(float(g.b)) for g in mu.support)
-        # with every b = 0, Z stays 0 and R is always locked
-        need = math.log(real_tol * safety) - math.log(max_b) if max_b else math.inf
-        real = (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
-        real_bound = math.log(real_tol / 2)
+        if not min(real_tol * safety, real_tol / 2) > 0:
+            raise ValueError(f"tolerance {real_tol!r} gives R a target that is not finite")
+        lock_targets = {**finite_targets, INFINITE_PLACE: -math.log(real_tol * safety)}
+        probe_targets = {**finite_targets, INFINITE_PLACE: -math.log(real_tol / 2)}
 
     walker = _Walker(_encode(mu), seed)
-    walker.lock(finite_targets, margin, step_cap, real)
+    walker.lock(lock_targets, margin, step_cap)
     lock_index = walker.count
-    rep, probes = walker.probe(margin, finite_targets, real_bound)
+    rep, probes = walker.probe(margin, probe_targets)
     real_interval = None
     if real_tol is not None:
         center = float(rep)
@@ -567,19 +574,14 @@ def boundary_digits(
 def _increment_valuations(mu: StepDistribution, place: Place, seed: int) -> Iterator:
     """v(A_{k-1} b_k) for k = 1, 2, ... along one seed's walk.
 
-    v is v_p at a finite prime and ln|.| on R, with v(0) = v_p(0) = inf and
-    ln 0 = -inf, so a step with b_k = 0 yields inf at a prime and -inf on R.
-    Step k's v(b) is read before its v(a) joins the running v(A).  The atoms
-    are drawn through the law's cached encoding, so they are the atoms every
+    v is the lock's valuation: v_p at a finite prime and v_inf = -ln|.| on R,
+    with v(0) = inf at both, so a step with b_k = 0 yields inf.  Step k's
+    v(b) is read before its v(a) joins the running v(A).  The atoms are
+    drawn through the law's cached encoding, so they are the atoms every
     other walk of the seed draws.
     """
-
-    def v(q: Fraction):
-        if place != INFINITE_PLACE:
-            return valuation(q, place)
-        return log_norm(q, place) if q else -math.inf
-
-    va, vb = [v(g.a) for g in mu.support], [v(g.b) for g in mu.support]
+    va = [_v(g.a, place) for g in mu.support]
+    vb = [_v(g.b, place) for g in mu.support]
     running = 0  # v(A_{k-1})
     for j in chain.from_iterable(_encode(mu).batches(seed)):
         yield running + vb[j]
@@ -610,7 +612,7 @@ def divergence_statistic(
     if place in drift_profile(mu).contracting():
         raise ValueError(f"place {format_place(place)} contracts; statistic undefined")
     # ln|A_{k-1} b_k|_p = (v(A_{k-1}) + v(b_k)) * scale
-    scale = 1.0 if place == INFINITE_PLACE else -math.log(place)
+    scale = -1.0 if place == INFINITE_PLACE else -math.log(place)
     values = []
     for i in range(samples):
         stream = islice(_increment_valuations(mu, place, replica_seed(seed, i)), n)

@@ -86,6 +86,7 @@ _atoms = st.lists(
 )
 _MIXED = [(F(6, 35), F(0), 2), (F(-3), F(5, 6), 1), (F(-1, 4), F(-2, 9), 1)]
 _REV = [(F(2), F(0), 3), (F(1, 2), F(1), 1)]
+_BIAS = [(F(2), F(0), 1), (F(1, 2), F(1), 3)]
 # above PACKED_ATOMS atoms, so drawn lane by lane; its drift at 3 is 0, where
 # v_3(A_n) stays 0 and its divergence statistic is 0 whatever the draws, so
 # the tests read it on R too
@@ -253,6 +254,43 @@ class TestExtractBoundary:
     def test_real_tolerance_is_finite(self, mu_bias, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             extract_boundary(mu_bias, seed=0, real_tol=tol)
+
+    # 5e-324 / 2 rounds to 0; a drift on R of about -1.2e-18 makes e^drift
+    # round to 1, so the headroom (1 - e^drift) / 2 and tol times it are 0
+    @pytest.mark.parametrize(
+        "atoms, tol",
+        [(_BIAS, 5e-324), ([(F(2), F(1), 2**59 - 1), (F(1, 2), F(0), 2**59 + 1)], 1e-3)],
+        ids=["underflow", "flat-drift"],
+    )
+    def test_real_tolerance_with_no_finite_target(self, monkeypatch, atoms, tol):
+        mu = _measure(atoms)
+
+        def unbuilt(*args):
+            raise AssertionError("a walker was built")
+
+        monkeypatch.setattr(walk, "_Walker", unbuilt)
+        message = f"^tolerance {tol!r} gives R a target that is not finite$"
+        with pytest.raises(ValueError, match=message):
+            extract_boundary(mu, seed=0, real_tol=tol)
+
+    def test_translation_beyond_float_range(self):
+        # no float holds b = 10^400: R's min v(b) is read exactly, and walks run
+        mu = StepDistribution({AffineMap(F(1, 2), 10**400): F(3, 4), AffineMap(3, 0): F(1, 4)})
+        assert _encode(mu).min_vb[-1] == -log_norm(F(10**400), INFINITE_PLACE)
+        assert sample_path(mu, 40, seed=0).length == 40
+        assert extract_boundary(mu, 0, {3: 5}).probe_agreed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_b_zero_locks_at_once(self, seed):
+        # Z stays 0, so min v(b) is inf at every place and each need is -inf:
+        # the lock holds from step 1, on R and at 3 (both contract)
+        mu = StepDistribution({AffineMap(F(1, 2), 0): F(3, 4), AffineMap(3, 0): F(1, 4)})
+        for targets in ({}, {3: 40}):
+            sample = extract_boundary(mu, seed, targets, real_tol=1e-9, margin=32)
+            assert (sample.value, sample.probe_value) == (0, 0)
+            assert sample.stabilization_index == 32
+            assert sample.steps_total == 64
+            assert sample.probes == (*((3, True) for _ in targets), (INFINITE_PLACE, True))
 
     @pytest.mark.parametrize(
         "options, message",
@@ -744,19 +782,19 @@ class TestAdvance:
             assert f"at step {stepped.count}," in hit[0]
 
 
-def _reference_lock(walker, targets, margin, step_cap, real=None):
-    """The lock as one ``step`` call per step: the scanning lock's oracle."""
-    exponents = walker.exponents
+def _reference_lock(walker, targets, margin, step_cap):
+    """The lock as one ``step`` call per step: the scanning lock's oracle.
+
+    Every place, R among them, is one level v(A_n) that must stay at or above
+    t - min v(b), with v_inf = -ln|.|; R's level is kept whether R is a
+    target or not.
+    """
     enc = walker._enc
-    moves = [entry[4] for entry in enc.steps]
-    slots = []
-    for p, t in targets.items():
-        j = enc.primes.index(p)
-        if enc.min_vb[j] is not None:
-            slots.append((j, t - enc.min_vb[j]))
-    if real is not None:
-        real_need, log_abs = real
-        la = log_norm(walker.a, INFINITE_PLACE)
+    levels = [*walker.exponents, -log_norm(walker.a, INFINITE_PLACE)]
+    real = len(enc.primes)
+    moves = [(*entry[4], (real, v, 0)) for entry, v in zip(enc.steps, enc.v_inf)]
+    index = enc.places.index
+    slots = [(index(p), t - enc.min_vb[index(p)]) for p, t in targets.items()]
     step = walker.step
     held = 0
     while held < margin:
@@ -765,13 +803,9 @@ def _reference_lock(walker, targets, margin, step_cap, real=None):
         i = step()
         held += 1
         for j, v, _ in moves[i]:
-            exponents[j] += v
+            levels[j] += v
         for j, need in slots:
-            if exponents[j] < need:
-                held = 0
-        if real is not None:
-            la += log_abs[i]
-            if la > real_need:
+            if levels[j] < need:
                 held = 0
 
 
@@ -791,15 +825,16 @@ class TestLockOracle:
         st.integers(0, 80),
         st.integers(1, 40),
         st.integers(0, 300),
-        st.one_of(st.none(), st.floats(-4, 4), st.just(math.inf)),
+        st.one_of(st.none(), st.floats(-4, 4), st.just(-math.inf)),
         st.data(),
     )
     @example(_MIXED, 5, 0, 32, 300, None, None)
-    @example(_MIXED, 5, 17, 8, 40, -1.0, None)
+    @example(_MIXED, 5, 17, 8, 40, 1.0, None)
+    @example(_REV, 9, 0, 32, 300, -10.0, None)  # R's level falls below its need
     @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 50, 32, 10, None, None)
     @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 0, 8, 300, None, None)
     @example([(F(-2), F(1, 3), 2), (F(1, 4), F(0), 1), (F(1, 2), F(-1), 1)], 3, 5, 6, 300, None, None)
-    def test_matches_stepwise_lock(self, atoms, seed, before, margin, room, need, data):
+    def test_matches_stepwise_lock(self, atoms, seed, before, margin, room, real_target, data):
         mu = _measure(atoms)
         enc = _encode(mu)
         if data is None:  # the explicit examples lock every prime at exponent 2
@@ -815,13 +850,14 @@ class TestLockOracle:
                 else st.just([])
             )
             targets = {p: data.draw(st.integers(-3, 8)) for p in chosen}
-        real = None if need is None else (need, [log_norm(g.a, INFINITE_PLACE) for g in mu.support])
+        if real_target is not None:
+            targets[INFINITE_PLACE] = real_target
         scanned, stepped = _Walker(enc, seed), _Walker(enc, seed)
         for walker in (scanned, stepped):
             for _ in range(before):
                 walker.step()
         # a small cap, so that many draws stop on it
-        args = (targets, margin, before + room, real)
+        args = (targets, margin, before + room)
         assert _lock_outcome(_Walker.lock, scanned, *args) == _lock_outcome(
             _reference_lock, stepped, *args
         )
@@ -871,7 +907,8 @@ class TestProbeOracle:
             probed, twin = _Walker(enc, seed), _Walker(enc, seed)
             probed.advance(before)
             twin.advance(before)
-            rep, agreed = probed.probe(margin, targets, real_bound)
+            real = {} if real_bound is None else {INFINITE_PLACE: -real_bound}
+            rep, agreed = probed.probe(margin, {**targets, **real})
             now = twin.z
             twin.advance(margin)
             after = twin.z
