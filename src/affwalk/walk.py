@@ -497,7 +497,7 @@ def extract_boundary(
         if not 0 < real_tol < math.inf:
             raise ValueError("tolerance must be finite and positive")
         safety = (1.0 - math.exp(profile.infinite_drift)) / 2.0
-        if not min(real_tol * safety, real_tol / 2) > 0:
+        if not real_tol * safety > 0:  # safety <= 1/2, so then tol / 2 > 0 too
             raise ValueError(f"tolerance {real_tol!r} gives R a target that is not finite")
         lock_targets = {**finite_targets, INFINITE_PLACE: -math.log(real_tol * safety)}
         probe_targets = {**finite_targets, INFINITE_PLACE: -math.log(real_tol / 2)}

@@ -280,6 +280,26 @@ class TestExtractBoundary:
         assert sample_path(mu, 40, seed=0).length == 40
         assert extract_boundary(mu, 0, {3: 5}).probe_agreed
 
+    def test_translation_below_float_range(self):
+        # b = 10^-400 rounds to the float 0, but R's min v(b) is read exactly,
+        # 400 ln 10 (as v(b) = inf, every step would hold): R with target t
+        # holds at step n exactly when |A_n| 10^-400 <= e^-t
+        up = AffineMap(F(10**400), F(1, 10**400))
+        down = AffineMap(F(1, 10**500), F(1, 10**400))
+        mu = StepDistribution({up: F(1, 4), down: F(3, 4)})
+        enc = _encode(mu)
+        assert enc.min_vb[-1] == -log_norm(F(1, 10**400), INFINITE_PLACE)
+        late = 0
+        for seed in range(12):
+            walker = _Walker(enc, seed)
+            walker.lock({INFINITE_PLACE: 20.0}, 1, 1000)
+            a = F(1)
+            for n, g in enumerate(sample_path(mu, walker.count, seed).steps, 1):
+                a *= g.a
+                assert (log_norm(a / 10**400, INFINITE_PLACE) <= -20) == (n == walker.count)
+            late += walker.count > 1
+        assert 0 < late < 12
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_b_zero_locks_at_once(self, seed):
         # Z stays 0, so min v(b) is inf at every place and each need is -inf:

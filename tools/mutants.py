@@ -3,8 +3,7 @@
 
 Usage (from anywhere; needs pytest and hypothesis, as the tests do):
 
-    python tools/mutants.py            # every entry
-    python tools/mutants.py -k probe   # entries whose name contains "probe"
+    python tools/mutants.py
 
 An entry is (name, file, old text, new text, test node ids).  The script
 copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory
@@ -18,7 +17,6 @@ old text does not occur exactly once, or the unchanged tests fail.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -34,6 +32,7 @@ LOCK_ORACLE = "tests/test_walk.py::TestLockOracle"
 PROBE_ORACLE = "tests/test_walk.py::TestProbeOracle"
 JOINT_LOCK = "tests/test_walk.py::TestExtractBoundary::test_joint_finite_and_real_lock"
 ALL_B_ZERO = "tests/test_walk.py::TestExtractBoundary::test_all_b_zero_locks_at_once"
+TINY_B = "tests/test_walk.py::TestExtractBoundary::test_translation_below_float_range"
 SYMMETRY = "tests/test_symmetry.py"
 
 MUTANTS = [
@@ -80,6 +79,13 @@ MUTANTS = [
         "real_vb = 0 if not max_b else _v(max_b, INFINITE_PLACE)",
         [ALL_B_ZERO],
     ),
+    (
+        "R's min v(b) is inf when max |b| rounds to the float 0",
+        WALK,
+        "real_vb = _v(max_b, INFINITE_PLACE)",
+        "real_vb = math.inf if max_b < 1 else _v(max_b, INFINITE_PLACE)",
+        [TINY_B],
+    ),
     # the symmetry oracles
     (
         "z read without scale",
@@ -111,16 +117,9 @@ def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only entries whose name contains this")
-    args = parser.parse_args(argv)
-    entries = [entry for entry in MUTANTS if args.k in entry[0]]
-    if not entries:
-        print(f"no entry matches {args.k!r}")
-        return 1
+def main() -> int:
     bad = False
-    for name, path, old, _, _ in entries:
+    for name, path, old, _, _ in MUTANTS:
         count = (ROOT / path).read_text().count(old)
         if count != 1:
             print(f"{name}: old text occurs {count} times in {path}, not once")
@@ -133,14 +132,14 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        tests = list(dict.fromkeys(t for *_, ids in entries for t in ids))
+        tests = list(dict.fromkeys(t for *_, ids in MUTANTS for t in ids))
         clean = _pytest(copy, tests)
         if clean.returncode != 0:
             print("the named tests fail on the unchanged code:")
             print(clean.stdout[-2000:])
             return 1
         survivors = []
-        for name, path, old, new, ids in entries:
+        for name, path, old, new, ids in MUTANTS:
             target = copy / path
             source = target.read_text()
             target.write_text(source.replace(old, new))
@@ -151,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{verdict} {time.perf_counter() - start:5.1f}s  {name}")
             if not killed:
                 survivors.append(name)
-    print(f"{len(entries) - len(survivors)} of {len(entries)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
