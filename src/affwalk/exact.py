@@ -3,8 +3,8 @@
 A "place" is either a finite prime p (with the p-adic norm |q|_p = p^(-v_p(q)))
 or the infinite place carrying the usual absolute value.  Everything here works
 on exact rationals, read as the numerator and denominator of their canonical
-`fractions.Fraction` form; only the logarithmic norms and heights are returned
-as 64-bit floats, with the underlying integer valuations exposed exactly.
+`fractions.Fraction` form; only the logarithmic norms, heights and the valuation
+on R (-ln|q|) are 64-bit floats, and the valuations at primes are exact ints.
 """
 
 from __future__ import annotations
@@ -174,43 +174,38 @@ def _terms_valuation(num: int, den: int, p: int) -> int:
     return _int_valuation(num, p) or -_int_valuation(den, p)
 
 
-def valuation(q: RationalLike, p: int) -> int | float:
-    """p-adic valuation of a rational, v_p(r/s) = v_p(r) - v_p(s).
+def valuation(q: RationalLike, place: Place) -> int | float:
+    """v(q) at a place: v_p(r/s) = v_p(r) - v_p(s) at a prime, v_inf(q) = -ln|q| on R.
 
-    Returns the ``INFINITE_VALUATION`` sentinel at q = 0.
+    An int at a prime, a float on R; the ``INFINITE_VALUATION`` sentinel at
+    q = 0 at both.
     """
-    p = _require_finite_prime(p)
+    if place != INFINITE_PLACE:
+        place = _require_finite_prime(place)
     num, den = _terms(q)
     if num == 0:
         return INFINITE_VALUATION
-    return _terms_valuation(num, den, p)
+    if place == INFINITE_PLACE:
+        return -(math.log(abs(num)) - math.log(den))
+    return _terms_valuation(num, den, place)
 
 
 def log_norm(q: RationalLike, place: Place) -> float:
-    """ln|q|_p: -v_p(q)*ln(p) at a finite prime, ln|q| at the infinite place.
+    """ln|q|_v = -v(q): -v_p(q)*ln(p) at a finite prime, ln|q| at the infinite place.
 
     Rejects q = 0, where the logarithm is undefined.
     """
-    num, den = _terms(q)
-    if num == 0:
+    v = valuation(q, place)
+    if v == INFINITE_VALUATION:
         raise ValueError("log_norm undefined at 0")
-    if place == INFINITE_PLACE:
-        return math.log(abs(num)) - math.log(den)
-    p = _require_finite_prime(place)
-    return -_terms_valuation(num, den, p) * math.log(p)
+    return -v if place == INFINITE_PLACE else -v * math.log(place)
 
 
 def log_norm_plus(q: RationalLike, place: Place) -> float:
-    """ln+|q|_p = max(ln|q|_p, 0), extended by 0 at q = 0."""
-    num, den = _terms(q)
-    if num == 0:
+    """ln+|q|_v = max(ln|q|_v, 0), extended by 0 at q = 0."""
+    if not _terms(q)[0]:
         return 0.0
-    if place == INFINITE_PLACE:
-        num = abs(num)
-        return math.log(num) - math.log(den) if num > den else 0.0
-    p = _require_finite_prime(place)
-    v = _terms_valuation(num, den, p)
-    return -v * math.log(p) if v < 0 else 0.0
+    return max(0.0, log_norm(q, place))
 
 
 def height(q: RationalLike) -> float:

@@ -25,6 +25,7 @@ from .exact import (
     INFINITE_PLACE,
     Place,
     _require_count,
+    _require_finite_prime,
     format_place,
     format_rational,
     height,
@@ -278,7 +279,7 @@ def run_walk(
 ) -> Report:
     """Dump one trajectory's growth statistics (plot-ready)."""
     _require_count(n, "walk length")
-    primes = tuple(dict.fromkeys(primes))  # each prime counts once
+    primes = tuple(_require_finite_prime(p) for p in dict.fromkeys(primes))  # each once
     walker = _Walker(_encode(mu), seed)
     places = [(p, str(p)) for p in primes]
     rows = []
@@ -286,8 +287,7 @@ def run_walk(
     def snapshot(m: int):
         a, z = walker.a, walker.z
         rows.append(Row("walk", "", m, seed, "log_abs_A", log_norm(a, INFINITE_PLACE)))
-        lz = log_norm(z, INFINITE_PLACE) if z != 0 else -math.inf
-        rows.append(Row("walk", "", m, seed, "log_abs_Z", lz))
+        rows.append(Row("walk", "", m, seed, "log_abs_Z", -valuation(z, INFINITE_PLACE)))
         for p, label in places:
             rows.append(Row("walk", label, m, seed, "v_A", float(valuation(a, p))))
             rows.append(Row("walk", label, m, seed, "v_Z", float(valuation(z, p))))

@@ -131,6 +131,8 @@ def gauge_enumerate(k: float) -> list[AffineMap]:
     height_plus(r'/s') = ln(max(r', s')) over coprime pairs; boundary ties
     are kept within BOUNDARY_TOL.
     """
+    if not math.isfinite(k):
+        raise ValueError(f"radius {k} is not finite")
     if k > GAUGE_K_MAX:
         raise ValueError(f"radius {k} above enumeration cap {GAUGE_K_MAX}")
     out: set[AffineMap] = set()

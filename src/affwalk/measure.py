@@ -28,6 +28,8 @@ from .exact import (
     _require_finite_prime,
     _Value,
     format_rational,
+    height,
+    log_norm,
     parse_rational,
     prime_factors,
 )
@@ -140,10 +142,7 @@ def _slope_valuations(mu: StepDistribution) -> tuple:
 def drift(mu: StepDistribution, place: Place) -> float:
     """Mean of ln|a|_p: negative exactly on the contracting places."""
     if place == INFINITE_PLACE:
-        return math.fsum(
-            float(w) * (math.log(abs(g.a.numerator)) - math.log(g.a.denominator))
-            for g, w in mu.atoms
-        )
+        return math.fsum(float(w) * log_norm(g.a, INFINITE_PLACE) for g, w in mu.atoms)
     p = _require_finite_prime(place)
     c = next((c for q, c, _ in _slope_valuations(mu) if q == p), 0)
     return -c * math.log(p)
@@ -223,14 +222,11 @@ def _infinite_sign(vp_means: tuple[tuple[int, Fraction], ...]) -> int:
 def _drift_sum_bound(mu: StepDistribution) -> float:
     """Rounding bound for the drift-sum identity, relative to its terms.
 
-    sum w * (ln|num a| + ln den a) bounds the absolute terms of both the
-    direct mean of ln|a| and the finite-drift sum, so the two may differ by
-    rounding at that scale: an absolute bound fails laws with huge slopes.
+    sum w * height(a) bounds the absolute terms of both the direct mean of
+    ln|a| and the finite-drift sum, so the two may differ by rounding at that
+    scale: an absolute bound fails laws with huge slopes.
     """
-    return 1e-12 * math.fsum(
-        float(w) * (math.log(abs(g.a.numerator)) + math.log(g.a.denominator))
-        for g, w in mu.atoms
-    )
+    return 1e-12 * math.fsum(float(w) * height(g.a) for g, w in mu.atoms)
 
 
 def drift_profile(mu: StepDistribution) -> DriftProfile:

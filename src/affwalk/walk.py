@@ -5,11 +5,11 @@ product is x_n = (A_n, Z_n) with A_n = a_1...a_n and Z_n = sum A_{k-1} b_k,
 kept in integer form and read as exact rationals.  On a place with negative
 drift the translation part converges, and the boundary is the product of
 those places: one locked rational Z_N stands for the boundary point in every
-contracting place at once.  One rule serves every place, with v = v_p at a
-prime, v_inf = -ln|.| on R and v(0) = inf: lock at target t until
-v(A_n) >= t - min v(b) has held for ``margin`` consecutive steps, then probe
-``margin`` steps further for v(Z_after - Z_now) >= t.  The probe outcome is
-recorded, never silently trusted.
+contracting place at once.  One rule serves every place, with v the one
+``exact.valuation`` (v_p at a prime, v_inf = -ln|.| on R, v(0) = inf): lock
+at target t until v(A_n) >= t - min v(b) has held for ``margin`` consecutive
+steps, then probe ``margin`` steps further for v(Z_after - Z_now) >= t.  The
+probe outcome is recorded, never silently trusted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .exact import (
     _require_count,
     _require_finite_prime,
     format_place,
-    log_norm,
     valuation,
 )
 from .measure import DriftProfile, StepDistribution, _slope_valuations, drift_profile, validate
@@ -73,13 +72,6 @@ class Trajectory(namedtuple("Trajectory", "seed steps")):
         return len(self.steps)
 
 
-def _v(q, place: Place):
-    """v_p(q) at a prime p, v_inf(q) = -ln|q| on R, and inf at q = 0."""
-    if place != INFINITE_PLACE:
-        return valuation(q, place)
-    return -log_norm(q, place) if q else math.inf
-
-
 class _Encoding:
     """Integer form of a step law's atoms, built once per law and process.
 
@@ -113,12 +105,12 @@ class _Encoding:
             for i, g in enumerate(atoms)
         )
         self.places = (*self.primes, INFINITE_PLACE)
-        self.v_inf = tuple(_v(g.a, INFINITE_PLACE) for g in atoms)
+        self.v_inf = tuple(valuation(g.a, INFINITE_PLACE) for g in atoms)
         max_b = max(abs(g.b) for g in atoms)
         try:
             real_vb = -math.log(float(max_b))
         except (OverflowError, ValueError):  # max_b is 0, or no float holds it
-            real_vb = _v(max_b, INFINITE_PLACE)
+            real_vb = valuation(max_b, INFINITE_PLACE)
         self.min_vb = (*(min(valuation(g.b, p) for g in atoms) for p in self.primes), real_vb)
         # the longest power-of-2 block, up to LANES, whose words fit the table;
         # past _BLOCK_ENTRIES atoms that is 1, and every word is one atom's entry
@@ -358,7 +350,7 @@ class _Walker:
         levels = self.exponents
         moves = [entry[4] for entry in enc.steps]
         if INFINITE_PLACE in targets:
-            levels.append(_v(self.a, INFINITE_PLACE))
+            levels.append(valuation(self.a, INFINITE_PLACE))
             moves = [(*m, (len(enc.primes), v, 0)) for m, v in zip(moves, enc.v_inf)]
         # every contracting place is in places: a prime divides some atom's linear part
         index = enc.places.index
@@ -406,7 +398,7 @@ class _Walker:
         agreed = []
         for p, t in sorted(targets.items()):
             if p == INFINITE_PLACE:
-                v = _v(Fraction(diff, den), p)
+                v = valuation(Fraction(diff, den), p)
             else:
                 v = valuation(diff, p) - valuation(den, p)
             agreed.append((p, v >= t))
@@ -508,7 +500,11 @@ def extract_boundary(
     rep, probes = walker.probe(margin, probe_targets)
     real_interval = None
     if real_tol is not None:
-        center = float(rep)
+        try:
+            center = float(rep)
+        except OverflowError:
+            size = -valuation(rep, INFINITE_PLACE) / math.log(10)
+            raise ValueError(f"locked value of about 10^{size:.0f} is past float range") from None
         half = real_tol / 2.0
         real_interval = (
             math.nextafter(center - half, -math.inf),
@@ -580,8 +576,8 @@ def _increment_valuations(mu: StepDistribution, place: Place, seed: int) -> Iter
     drawn through the law's cached encoding, so they are the atoms every
     other walk of the seed draws.
     """
-    va = [_v(g.a, place) for g in mu.support]
-    vb = [_v(g.b, place) for g in mu.support]
+    va = [valuation(g.a, place) for g in mu.support]
+    vb = [valuation(g.b, place) for g in mu.support]
     running = 0  # v(A_{k-1})
     for j in chain.from_iterable(_encode(mu).batches(seed)):
         yield running + vb[j]

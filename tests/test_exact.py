@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affwalk import (
     INFINITE_PLACE,
     BudgetError,
+    StepDistribution,
+    drift,
     height,
     height_plus,
     log_norm,
@@ -17,6 +19,7 @@ from affwalk import (
 from affwalk.exact import (
     INFINITE_VALUATION,
     _require_count,
+    _terms,
     format_place,
     format_rational,
     is_prime,
@@ -26,7 +29,7 @@ from affwalk.exact import (
     support_primes,
 )
 from affwalk.experiments import _partial_plus
-from affwalk.measure import power
+from affwalk.measure import _drift_sum_bound, power
 from affwalk.padic import ball_key_exact, expand
 from affwalk.walk import boundary_digits, sample_path
 
@@ -53,11 +56,14 @@ class TestValuation:
     def test_sign_invariant(self):
         assert valuation(Fraction(-12), 2) == valuation(Fraction(12), 2)
 
-    def test_rejects_composite_place(self):
-        with pytest.raises(ValueError):
-            valuation(Fraction(1), 6)
-        with pytest.raises(ValueError):
-            valuation(Fraction(1), 1)
+    def test_infinite_place_is_minus_ln_abs(self):
+        assert valuation(Fraction(-3, 2), INFINITE_PLACE) == -(math.log(3) - math.log(2))
+        assert valuation(Fraction(0), INFINITE_PLACE) == INFINITE_VALUATION
+
+    @pytest.mark.parametrize("place", [6, 1, 2.0, True, "inf"], ids=repr)
+    def test_rejects_composite_place(self, place):
+        with pytest.raises(ValueError, match="not a prime"):
+            valuation(Fraction(1), place)
 
     @given(nonzero_rationals, nonzero_rationals, small_primes)
     def test_additive_under_multiplication(self, q1, q2, p):
@@ -312,3 +318,93 @@ def test_inputs_rejected_as_by_fraction(bad):
     for read in readers:
         with pytest.raises(error):
             read()
+
+
+@pytest.mark.parametrize("q", [True, False, _Int(-20)], ids=repr)
+def test_terms_reads_other_ints_through_fraction(q):
+    """Only an exact int or Fraction skips Fraction(q): a bool comes back as plain ints."""
+    num, den = _terms(q)
+    assert (type(num), type(den), num, den) == (int, int, int(q), 1)
+
+
+# The formulas each ln|.| used before every one of them read valuation, kept
+# as oracles: R's v (walk's private _v), log_norm, log_norm_plus, drift on R
+# and the drift-sum bound.  Results are compared by repr, so -0.0 != 0.0.
+
+
+def _oracle_v(q, place):
+    if place != INFINITE_PLACE:
+        return valuation(q, place)
+    return -_oracle_log_norm(q, place) if q else math.inf
+
+
+def _oracle_int_v(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _oracle_log_norm(q, place):
+    f = Fraction(q)
+    num, den = f.numerator, f.denominator
+    if num == 0:
+        raise ValueError("log_norm undefined at 0")
+    if place == INFINITE_PLACE:
+        return math.log(abs(num)) - math.log(den)
+    return -(_oracle_int_v(num, place) - _oracle_int_v(den, place)) * math.log(place)
+
+
+def _oracle_log_norm_plus(q, place):
+    f = Fraction(q)
+    num, den = f.numerator, f.denominator
+    if num == 0:
+        return 0.0
+    if place == INFINITE_PLACE:
+        num = abs(num)
+        return math.log(num) - math.log(den) if num > den else 0.0
+    v = _oracle_int_v(num, place) - _oracle_int_v(den, place)
+    return -v * math.log(place) if v < 0 else 0.0
+
+
+# magnitudes from 1 to past float range (2^1024 is about 1.8e308)
+_wide = st.one_of(st.integers(1, 10**6), st.integers(2**1024 - 10**6, 10**420))
+_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), 0, 1, -1]),
+    st.builds(lambda s, n, d: Fraction(s * n, d), st.sampled_from([1, -1]), _wide, _wide),
+    st.builds(lambda s, n: s * n, st.sampled_from([1, -1]), _wide),
+)
+_places = st.sampled_from([2, 3, 5, INFINITE_PLACE])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, _places)
+@example(Fraction(1), INFINITE_PLACE)  # ln 1 - ln 1 = 0.0, so v_inf(1) = -0.0
+@example(Fraction(-1, 10**400), INFINITE_PLACE)
+@example(Fraction(10**400 + 1, 10**400), INFINITE_PLACE)  # ln+ of a float tie
+def test_norms_read_valuation_as_their_old_formulas_did(q, place):
+    assert repr(valuation(q, place)) == repr(_oracle_v(q, place))
+    assert repr(log_norm_plus(q, place)) == repr(_oracle_log_norm_plus(q, place))
+    if q:
+        assert repr(log_norm(q, place)) == repr(_oracle_log_norm(q, place))
+    else:
+        with pytest.raises(ValueError, match="undefined at 0"):
+            log_norm(q, place)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_rationals.filter(bool), _rationals, st.integers(1, 9)), min_size=1,
+                max_size=4, unique_by=lambda atom: atom[:2]))
+def test_real_drift_and_its_bound_match_their_old_formulas(atoms):
+    total = sum(w for *_, w in atoms)
+    mu = StepDistribution([((a, b), Fraction(w, total)) for a, b, w in atoms])
+    direct = math.fsum(
+        float(w) * (math.log(abs(g.a.numerator)) - math.log(g.a.denominator)) for g, w in mu.atoms
+    )
+    bound = 1e-12 * math.fsum(
+        float(w) * (math.log(abs(g.a.numerator)) + math.log(g.a.denominator)) for g, w in mu.atoms
+    )
+    assert repr(drift(mu, INFINITE_PLACE)) == repr(direct)
+    assert repr(_drift_sum_bound(mu)) == repr(bound)
+

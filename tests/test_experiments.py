@@ -160,6 +160,22 @@ class TestSmallSuites:
         assert stats["count"] == 26.0
         assert rep.passed is True
 
+    @pytest.mark.parametrize("k", [math.nan, -math.inf], ids=repr)
+    def test_gauge_refuses_a_radius_that_is_not_finite(self, k):
+        with pytest.raises(ValueError, match="is not finite"):
+            run_gauge(k)
+
+    @pytest.mark.parametrize("primes", [[INFINITE_PLACE], [2, INFINITE_PLACE], [4]], ids=repr)
+    def test_walk_refuses_a_place_that_is_not_a_prime_before_walking(
+        self, mu_rev, monkeypatch, primes
+    ):
+        def no_walk(*args):
+            raise AssertionError("a walker was built")
+
+        monkeypatch.setattr(experiments, "_Walker", no_walk)
+        with pytest.raises(ValueError, match="infinite place|not a prime"):
+            run_walk(mu_rev, 5, seed=0, primes=primes)
+
     def test_walk_rows(self, mu_rev):
         rep = run_walk(mu_rev, 20, seed=3, primes=[2])
         v_rows = [r for r in rep.rows if r.statistic == "v_A"]

@@ -126,6 +126,12 @@ class TestGauge:
         with pytest.raises(ValueError):
             gauge_enumerate(6.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_radius_that_is_not_finite_is_refused(self, k):
+        # -inf used to give an empty ball, and a report whose JSON held -Infinity
+        with pytest.raises(ValueError, match=r"^radius .* is not finite$"):
+            gauge_enumerate(k)
+
     def test_monotone_in_k(self):
         small = set(gauge_enumerate(1.0))
         large = set(gauge_enumerate(2.0))

@@ -255,6 +255,16 @@ class TestInfiniteSign:
             exact = Decimal(w.numerator) / w.denominator * Decimal(6).ln() - Decimal(2).ln()
         assert drift_profile(mu).infinite_sign == (1 if exact > 0 else -1)
 
+    def test_sign_decided_in_the_last_round(self, monkeypatch):
+        # 32 and 64 digits leave the sign open, so a 128-digit budget must run
+        # its 128-digit round, the last one it allows, to decide it
+        w, mu = _near_null_law()
+        monkeypatch.setattr(measure, "_SIGN_DIGITS", 128)
+        with localcontext() as ctx:
+            ctx.prec = 200
+            exact = Decimal(w.numerator) / w.denominator * Decimal(6).ln() - Decimal(2).ln()
+        assert drift_profile(mu).infinite_sign == (1 if exact > 0 else -1)
+
 
 class TestApproximant:
     def test_bias_powers_of_two(self, mu_bias):

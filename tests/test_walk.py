@@ -205,6 +205,12 @@ class TestRealLimit:
         narrow = extract_boundary(mu_bias, seed=3, real_tol=1e-8)
         assert lo - 1e-4 <= narrow.value <= hi + 1e-4
 
+    def test_limit_past_float_range_is_refused(self):
+        # x/2 + 10^400 has its fixed point at 2 * 10^400, which no float holds
+        mu = StepDistribution({AffineMap(F(1, 2), 10**400): F(3, 4), AffineMap(3, 0): F(1, 4)})
+        with pytest.raises(ValueError, match=r"^locked value of about 10\^40[01] is past float range$"):
+            extract_boundary(mu, seed=0, real_tol=1e-3)
+
     def test_requires_contracting_infinite_place(self, mu_rev):
         with pytest.raises(ValueError):
             extract_boundary(mu_rev, seed=0, real_tol=1e-6)

@@ -26,14 +26,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WALK = "src/affwalk/walk.py"
+EXACT = "src/affwalk/exact.py"
+GROUP = "src/affwalk/group.py"
 MEASURE = "src/affwalk/measure.py"
+PADIC = "src/affwalk/padic.py"
+WALK = "src/affwalk/walk.py"
 LOCK_ORACLE = "tests/test_walk.py::TestLockOracle"
 PROBE_ORACLE = "tests/test_walk.py::TestProbeOracle"
 JOINT_LOCK = "tests/test_walk.py::TestExtractBoundary::test_joint_finite_and_real_lock"
 ALL_B_ZERO = "tests/test_walk.py::TestExtractBoundary::test_all_b_zero_locks_at_once"
 TINY_B = "tests/test_walk.py::TestExtractBoundary::test_translation_below_float_range"
 SYMMETRY = "tests/test_symmetry.py"
+NORM_ORACLE = "tests/test_exact.py::test_norms_read_valuation_as_their_old_formulas_did"
+WALK_BYTES = "tests/test_experiments.py::TestPinnedReports::test_walk_bytes"
 
 MUTANTS = [
     # the one lock-and-probe rule, R among the places
@@ -59,10 +64,10 @@ MUTANTS = [
         [PROBE_ORACLE],
     ),
     (
-        "_v(0) on R is -inf",
-        WALK,
-        "return -log_norm(q, place) if q else math.inf",
-        "return -log_norm(q, place) if q else -math.inf",
+        "v(0) on R is -inf",
+        EXACT,
+        "        return INFINITE_VALUATION\n",
+        "        return -INFINITE_VALUATION if place == INFINITE_PLACE else INFINITE_VALUATION\n",
         [ALL_B_ZERO],
     ),
     (
@@ -75,16 +80,83 @@ MUTANTS = [
     (
         "R's min v(b) is 0 when every b is 0",
         WALK,
-        "real_vb = _v(max_b, INFINITE_PLACE)",
-        "real_vb = 0 if not max_b else _v(max_b, INFINITE_PLACE)",
+        "real_vb = valuation(max_b, INFINITE_PLACE)",
+        "real_vb = 0 if not max_b else valuation(max_b, INFINITE_PLACE)",
         [ALL_B_ZERO],
     ),
     (
         "R's min v(b) is inf when max |b| rounds to the float 0",
         WALK,
-        "real_vb = _v(max_b, INFINITE_PLACE)",
-        "real_vb = math.inf if max_b < 1 else _v(max_b, INFINITE_PLACE)",
+        "real_vb = valuation(max_b, INFINITE_PLACE)",
+        "real_vb = math.inf if max_b < 1 else valuation(max_b, INFINITE_PLACE)",
         [TINY_B],
+    ),
+    # one valuation at every place, and what reads it
+    (
+        "v_inf as ln(den) - ln|num|, which reads +0.0 at 1",
+        EXACT,
+        "return -(math.log(abs(num)) - math.log(den))",
+        "return math.log(den) - math.log(abs(num))",
+        [WALK_BYTES],
+    ),
+    (
+        "log_norm_plus without its clamp",
+        EXACT,
+        "return max(0.0, log_norm(q, place))",
+        "return log_norm(q, place)",
+        ["tests/test_exact.py::TestLogNorm", NORM_ORACLE],
+    ),
+    (
+        "extract_boundary reads a limit past float range without a guard",
+        WALK,
+        """        try:
+            center = float(rep)
+        except OverflowError:
+            size = -valuation(rep, INFINITE_PLACE) / math.log(10)
+            raise ValueError(f"locked value of about 10^{size:.0f} is past float range") from None
+""",
+        "        center = float(rep)\n",
+        ["tests/test_walk.py::TestRealLimit::test_limit_past_float_range_is_refused"],
+    ),
+    (
+        "gauge radius not checked for finiteness",
+        GROUP,
+        """    if not math.isfinite(k):
+        raise ValueError(f"radius {k} is not finite")
+""",
+        "",
+        ["tests/test_group.py::TestGauge::test_radius_that_is_not_finite_is_refused"],
+    ),
+    # the exact layer
+    (
+        "_terms' fast path accepts bool",
+        EXACT,
+        "    if kind is int:\n",
+        "    if kind is int or kind is bool:\n",
+        ["tests/test_exact.py::test_terms_reads_other_ints_through_fraction"],
+    ),
+    (
+        "_require_count accepts bool",
+        EXACT,
+        "if not isinstance(value, int) or isinstance(value, bool):",
+        "if not isinstance(value, int):",
+        ["tests/test_exact.py::TestRequireCount"],
+    ),
+    (
+        "ball_key_exact skips the denominator strip",
+        PADIC,
+        """    elif v < 0:
+        den //= p**-v
+""",
+        "",
+        ["tests/test_padic.py"],
+    ),
+    (
+        "_infinite_sign stops one round early",
+        MEASURE,
+        "while digits <= _SIGN_DIGITS:",
+        "while digits < _SIGN_DIGITS:",
+        ["tests/test_measure.py::TestInfiniteSign"],
     ),
     # the symmetry oracles
     (
