@@ -161,8 +161,37 @@ _HELP = {
 }
 
 
+class _Subcommand:
+    """One subcommand's parser, built only when argparse asks it to parse.
+
+    ``add_parser`` constructs this class with the parser's keywords, and
+    ``--help`` reads each command's line from its ``help=`` pseudo-action, so
+    a run builds the ``ArgumentParser`` of the one subcommand it runs.
+    """
+
+    def __init__(self, *, command: str, **kwargs):
+        self.command = command
+        self.kwargs = kwargs
+
+    def build(self) -> argparse.ArgumentParser:
+        """The subcommand's parser: one flag per flagged ``_PARAMS`` entry."""
+        cmd = self.command
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for key, (flag, kind) in _PARAMS[cmd].items():
+            if flag not in (None, "seed", "replicas"):  # those two are global flags
+                parser.add_argument(
+                    "--" + flag.replace("_", "-"),
+                    action="append" if kind is _primes else "store",
+                    help=f"overrides config entry {cmd}.{key}",
+                )
+        return parser
+
+    def parse_known_args(self, args, namespace):
+        return self.build().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Global flags, then each subcommand with one flag per flagged ``_PARAMS`` entry."""
+    """Global flags, then each subcommand, whose parser ``_Subcommand`` defers."""
     parser = argparse.ArgumentParser(
         prog="affwalk",
         description="Random walks on rational affine maps: drifts, gauges, "
@@ -178,16 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="report format"
     )
     parser.add_argument("--workers", help="worker processes; output bytes do not depend on this")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, params in _PARAMS.items():
-        cmd_parser = sub.add_parser(cmd, help=_HELP[cmd])
-        for key, (flag, kind) in params.items():
-            if flag not in (None, "seed", "replicas"):  # those two are global flags
-                cmd_parser.add_argument(
-                    "--" + flag.replace("_", "-"),
-                    action="append" if kind is _primes else "store",
-                    help=f"overrides config entry {cmd}.{key}",
-                )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for cmd in _PARAMS:
+        sub.add_parser(cmd, help=_HELP[cmd], command=cmd)
     return parser
 
 

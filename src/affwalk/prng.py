@@ -12,8 +12,8 @@ is part of the external reproducibility contract:
 ``mix64`` adds the gamma once more before it mixes, so draw k of
 ``SplitMix64(s)`` is finalizer(s + (k+1)*gamma): output k+1 of reference
 SplitMix64 seeded s.  ``SplitMix64``, ``pick_index`` and ``mix64`` are the
-reference path.  The walk engine draws ``LANES`` outputs at a time on one
-packed integer, which holds exactly the outputs ``next_u64`` would give.
+reference path.  The walk engine draws ``LANES`` (128) outputs at a time on
+one packed integer, which holds exactly the outputs ``next_u64`` would give.
 For a law of at most ``PACKED_ATOMS`` atoms, ``pick_lanes`` also picks the
 ``LANES`` atoms on that integer, one packed compare per threshold; a larger
 law reads the outputs from ``next_u64_lanes`` and picks each one with
@@ -35,7 +35,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _SCALE = 1 << 64
 
-LANES = 32  # outputs per packed pass
+LANES = 128  # outputs per packed pass
 # Lane i sits in bits [128i, 128i + 64) of one packed integer; the 64 bits
 # above it take a lane's carry and its 64 x 64-bit product.
 _ONES = sum(1 << (128 * i) for i in range(LANES))

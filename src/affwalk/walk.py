@@ -181,18 +181,19 @@ class _Walker:
     state keeps the integers N = Z_n * scale * D and D, and the slope integer
     P = A_n * D (which carries the sign); ``state`` reads (P, N, D).
 
-    ``step`` only reads the next atom of the current ``LANES``-draw batch and
-    counts it; ``advance(m)`` counts m steps in one call.  Both cross each
-    multiple of ``LANES`` through ``_next_batch``: the flush, the bit guard
-    and the next batch.  ``_flush`` applies the steps drawn since the last
-    flush as words of ``block`` steps, and the shorter tail as one word, by
-    one composite entry each (see ``_Encoding``).  The flush carries P's
-    pending factor as two small integers, mul / div.  An entry first scales
-    N, D and mul by p**s for each prime p whose least prefix exponent falls
-    s below the floor, then adds the translation N += P * mul * C / (div * G)
-    (one exact division) when C != 0, then folds a = num / den into mul and
-    div.  The flush ends by bringing P up to date: one multiplication by
-    mul, one exact division by div.  Reads of ``a``, ``z``, ``state`` and
+    The atoms come in batches of ``LANES`` (128) draws, and a step's atom is
+    read only when its batch is applied.  ``step`` counts one step and
+    ``advance(m)`` counts m steps in one call.  Both cross each multiple of
+    ``LANES`` through ``_next_batch``: the flush, the bit guard and the next
+    batch.  ``_flush`` applies the steps drawn since the last flush as words
+    of ``block`` steps, and the shorter tail as one word, by one composite
+    entry each (see ``_Encoding``).  The flush carries P's pending factor as
+    two small integers, mul / div.  An entry first scales N, D and mul by
+    p**s for each prime p whose least prefix exponent falls s below the
+    floor, then adds the translation N += P * mul * C / (div * G) (one exact
+    division) when C != 0, then folds a = num / den into mul and div.  The
+    flush ends by bringing P up to date: one multiplication by mul, one
+    exact division by div.  Reads of ``a``, ``z``, ``state`` and
     ``exponents`` flush first.  So after every flush P, N, D and the
     exponents are those of stepping one atom at a time, and no step takes a
     gcd.
@@ -217,14 +218,11 @@ class _Walker:
         self._n = 0
         self._d = 1
 
-    def step(self) -> int:
-        """Draw one atom and return its index."""
-        count = self.count
-        i = self._atoms[count % 32]  # 32 = LANES
-        self.count = count = count + 1
-        if not count % 32:
+    def step(self) -> None:
+        """Take one step: count it, and at a batch edge apply the batch."""
+        self.count = count = self.count + 1
+        if not count % 128:  # 128 = LANES
             self._next_batch()
-        return i
 
     def advance(self, m: int) -> None:
         """Take m steps at once: the state ``step`` called m times leaves."""
@@ -285,7 +283,9 @@ class _Walker:
         The guard is the module constant as it reads at the call.  The
         unreduced integers bound the reduced sizes from above, so the exact
         count (one gcd) is taken only when that bound exceeds the guard.  It
-        runs right after a flush, which leaves P up to date.
+        runs right after the flush at each batch edge, which leaves P up to
+        date, so a walk can grow for up to ``LANES - 1`` (127) steps past the
+        guard before it raises.
         """
         guard = DEFAULT_MAX_BITS
         d_bits = self._d.bit_length()
@@ -406,13 +406,18 @@ class _Walker:
 
 
 def sample_path(mu: StepDistribution, n: int, seed: int) -> Trajectory:
-    """Deterministic n-step trajectory for a non-degenerate step law."""
+    """Deterministic n-step trajectory for a non-degenerate step law.
+
+    Its atoms are the first n of the encoding's stream for the seed, drawn
+    ``LANES`` (128) at a time: the atoms every walk of the seed takes.  No
+    walk state is built, so no bit guard applies.
+    """
     report = validate(mu)
     if report.degenerate:
         raise DegenerateMeasureError(report.reason or "degenerate step law")
     _require_count(n, "length")
-    step = _Walker(_encode(mu), seed).step
-    return Trajectory(seed, tuple(mu.support[step()] for _ in range(n)))
+    atoms = chain.from_iterable(_encode(mu).batches(seed))
+    return Trajectory(seed, tuple(mu.support[i] for i in islice(atoms, n)))
 
 
 def _places(places: Iterable[Place], profile: Optional[DriftProfile] = None) -> tuple[Place, ...]:

@@ -460,12 +460,89 @@ def test_subcommand_flag_sets():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {
-        cmd: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        cmd: {s for action in p.build()._actions for s in action.option_strings}
+        - {"-h", "--help"}
         for cmd, p in sub.choices.items()
     }
     assert flags == _FLAG_SETS
     # walk tracks several primes, one --p each
     assert cli.build_parser().parse_args(["walk", "--p", "2", "--p", "3"]).p == ["2", "3"]
+
+
+def _eager_parser() -> argparse.ArgumentParser:
+    """``build_parser`` with every subcommand's parser built up front, from ``_PARAMS``."""
+    parser = argparse.ArgumentParser(
+        prog="affwalk",
+        description="Random walks on rational affine maps: drifts, gauges, "
+        "boundary contraction, height laws of large numbers, entropy.",
+    )
+    parser.add_argument("--config", help="JSON config file with the measure block")
+    parser.add_argument("--seed", help="base 64-bit seed")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument(
+        "--replicas", help="number of Monte Carlo replicas (overrides config samples)"
+    )
+    parser.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="report format"
+    )
+    parser.add_argument("--workers", help="worker processes; output bytes do not depend on this")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, params in cli._PARAMS.items():
+        cmd_parser = sub.add_parser(cmd, help=cli._HELP[cmd])
+        for key, (flag, kind) in params.items():
+            if flag not in (None, "seed", "replicas"):
+                cmd_parser.add_argument(
+                    "--" + flag.replace("_", "-"),
+                    action="append" if kind is cli._primes else "store",
+                    help=f"overrides config entry {cmd}.{key}",
+                )
+    return parser
+
+
+def _main_outcome(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, a parser's exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([cmd, "--help"] for cmd in _FLAG_SETS),
+        ["nosuch"],
+        [],
+        ["walk", "--bogus"],
+        ["entropy", "--n-max"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_deferred_parsers_print_what_eager_ones_did(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    deferred = _main_outcome(argv)
+    monkeypatch.setattr(cli, "build_parser", _eager_parser)
+    assert deferred == _main_outcome(argv)
+    assert deferred[0] in (0, 2)
+
+
+def test_a_run_builds_only_its_own_subcommand_parser(monkeypatch, bias_config, capsys):
+    built = []
+    build = cli._Subcommand.build
+
+    def counted(self):
+        built.append(self.command)
+        return build(self)
+
+    monkeypatch.setattr(cli._Subcommand, "build", counted)
+    assert _main_outcome(["--help"])[0] == 0
+    assert built == []
+    assert main(["--config", bias_config, "drift"]) == 0
+    assert built == ["drift"]
 
 
 class TestParameterTable:

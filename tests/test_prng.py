@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 
@@ -63,11 +64,14 @@ def test_walker_draws_the_reference_atoms(atoms, seed):
     mu = StepDistribution({AffineMap(a, b): w for a, b, w in atoms})
     rng = SplitMix64(seed)
     thresholds = cumulative_thresholds(mu.weights)
-    walker = _Walker(_encode(mu), seed)
+    enc = _encode(mu)
     n = 3 * LANES + 5
-    got = [walker.step() for _ in range(n)]
+    got = list(islice(chain.from_iterable(enc.batches(seed)), n))
     assert got == [pick_index(rng.next_u64(), thresholds) for _ in range(n)]
-    # and the state those atoms give, however the walker groups them
+    # and the walker takes those atoms, however it groups them
+    walker = _Walker(enc, seed)
+    for _ in range(n):
+        walker.step()
     a, z = F(1), F(0)
     for i in got:
         g = mu.support[i]

@@ -23,7 +23,7 @@ from affwalk import AffineMap, StepDistribution, entropy, reflect, valuation
 from affwalk.experiments import _grid_walk, _partial_plus, _stationarity_replica, run_lln43
 from affwalk.measure import _step_table, convolve
 from affwalk.padic import ball_key_exact
-from affwalk.prng import replica_seed
+from affwalk.prng import LANES, replica_seed
 from affwalk.walk import _encode, _Walker
 
 MU_SYM = StepDistribution({AffineMap(2, 0): F(1, 2), AffineMap(F(1, 2), 1): F(1, 2)})
@@ -90,7 +90,7 @@ def _check_walks(c, d, seeds, mu=MU_REV):
     enc, enc_h = _encode(mu), _encode(_conjugate(mu, c, d))
     for seed in seeds:
         walker, twin = _Walker(enc, seed), _Walker(enc_h, seed)
-        for n in (1, 31, 32, 33, 1000):  # batch edges at 32, a flush tail at 1000
+        for n in (1, LANES - 1, LANES, LANES + 1, 1000):  # a batch edge, a flush tail at 1000
             walker.advance(n - walker.count)
             twin.advance(n - twin.count)
             a, z = walker.a, walker.z

@@ -5,8 +5,8 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, repeat
+from functools import partial, reduce
+from itertools import accumulate, chain, islice, repeat
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,7 +32,7 @@ from affwalk import (
 from affwalk import experiments, measure, walk
 from affwalk.measure import drift_profile, validate
 from affwalk.padic import ball_key_exact, expand
-from affwalk.prng import SplitMix64, cumulative_thresholds, pick_index, replica_seed
+from affwalk.prng import LANES, SplitMix64, cumulative_thresholds, pick_index, replica_seed
 from affwalk.walk import _encode, _Walker
 
 F = Fraction
@@ -53,8 +53,8 @@ def _fraction_walk(mu, seed, n, max_bits=None):
     """Reference walk in plain Fraction arithmetic.
 
     Returns the (atom, A_k, Z_k) of steps 1..n, and (step, bits) when the
-    reduced bit size of (A, Z), checked every 32 steps, exceeds max_bits
-    (the walk stops there), else None.
+    reduced bit size of (A, Z), checked every ``LANES`` steps, exceeds
+    max_bits (the walk stops there), else None.
     """
     rng = SplitMix64(seed)
     thresholds = cumulative_thresholds(mu.weights)
@@ -65,11 +65,24 @@ def _fraction_walk(mu, seed, n, max_bits=None):
         z += a * g.b
         a *= g.a
         out.append((g, a, z))
-        if max_bits is not None and k % 32 == 0:
+        if max_bits is not None and k % LANES == 0:
             bits = _bits(a, z)
             if bits > max_bits:
                 return out, (k, bits)
     return out, None
+
+
+def _atom_stream(enc, seed):
+    """The atom indices a seed draws, one by one: the encoding's one stream."""
+    return chain.from_iterable(enc.batches(seed))
+
+
+def _step_walk(mu, n, seed):
+    """A walker of the law's encoding after n ``step`` calls."""
+    walker = _Walker(_encode(mu), seed)
+    for _ in range(n):
+        walker.step()
+    return walker
 
 
 # signed products of small prime powers: negative, multi-prime and unit slopes
@@ -284,6 +297,8 @@ class TestExtractBoundary:
         mu = StepDistribution({AffineMap(F(1, 2), 10**400): F(3, 4), AffineMap(3, 0): F(1, 4)})
         assert _encode(mu).min_vb[-1] == -log_norm(F(10**400), INFINITE_PLACE)
         assert sample_path(mu, 40, seed=0).length == 40
+        n = LANES + 8  # the walk's state crosses a batch edge
+        assert _step_walk(mu, n, 0).z == _position(sample_path(mu, n, 0), n).b
         assert extract_boundary(mu, 0, {3: 5}).probe_agreed
 
     def test_translation_below_float_range(self):
@@ -524,14 +539,16 @@ class TestIncrementStreamReference:
 
 class TestIntegerEngine:
     @settings(max_examples=60, deadline=None)
-    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(1, 120))
+    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(1, 3 * LANES + 24))
     @example(_MIXED, 5, 100)
     def test_matches_fraction_reference(self, atoms, seed, n):
         mu = _measure(atoms)
         walker = _Walker(_encode(mu), seed)
+        drawn = _atom_stream(walker._enc, seed)
         reference, _ = _fraction_walk(mu, seed, n)
         for g, a, z in reference:
-            assert mu.support[walker.step()] == g
+            walker.step()
+            assert mu.support[next(drawn)] == g
             assert walker.a == a
             assert walker.z == z
             for p, v in zip(walker._enc.primes, walker.exponents):
@@ -542,8 +559,8 @@ class TestIntegerEngine:
     @given(
         _atoms,
         st.integers(0, 2**64 - 1),
-        st.integers(1, 150),
-        st.dictionaries(st.integers(1, 150), st.sampled_from("az"), max_size=8),
+        st.integers(1, 3 * LANES + 24),
+        st.dictionaries(st.integers(1, 3 * LANES + 24), st.sampled_from("az"), max_size=8),
     )
     @example(_MIXED, 5, 150, {7: "a", 40: "z", 41: "a", 95: "z", 150: "a"})
     def test_sparse_reads_match_fraction_reference(self, atoms, seed, n, reads):
@@ -551,9 +568,11 @@ class TestIntegerEngine:
         # a read of a, or the bit guard: unread steps leave it stale
         mu = _measure(atoms)
         walker = _Walker(_encode(mu), seed)
+        drawn = _atom_stream(walker._enc, seed)
         reference, _ = _fraction_walk(mu, seed, n)
         for k, (g, a, z) in enumerate(reference, start=1):
-            assert mu.support[walker.step()] == g
+            walker.step()
+            assert mu.support[next(drawn)] == g
             if reads.get(k) == "a":
                 assert walker.a == a
             elif reads.get(k) == "z":
@@ -568,20 +587,20 @@ class TestIntegerEngine:
             st.tuples(_slopes, _translations, st.integers(1, 5)), min_size=1, max_size=12
         ),
         st.integers(0, 2**64 - 1),
-        st.integers(1, 200),
+        st.integers(1, 3 * LANES + 24),
         st.dictionaries(
-            st.integers(1, 200), st.sampled_from(["a", "z", "exponents"]), max_size=10
+            st.integers(1, 3 * LANES + 24), st.sampled_from(["a", "z", "exponents"]), max_size=10
         ),
     )
-    @example(_MIXED, 5, 150, {5: "z", 6: "exponents", 40: "a", 64: "z", 101: "z"})
-    @example([(F(2), F(0), 1)], 5, 100, {33: "a"})
+    @example(_MIXED, 5, 150, {5: "z", 6: "exponents", 40: "a", LANES: "z", 101: "z"})
+    @example([(F(2), F(0), 1)], 5, LANES + 40, {LANES + 1: "a"})
     @example(_REV, 5, 60, _TAIL_READS)
     @example(_MIXED, 7, 60, _TAIL_READS)
     def test_blocks_match_stepwise_application(self, atoms, seed, n, reads):
         # the stepwise walker is read at every step, so each flush applies
         # one step; the others are read on a random schedule, so their flushes
-        # apply whole blocks (1 to 12 atoms take blocks of 32, 8, 4 and 2
-        # steps) and then the shorter tail as one word.  On one seed, the
+        # apply whole blocks (1 to 12 atoms take blocks of LANES, 8, 4 and
+        # 2 steps) and then the shorter tail as one word.  On one seed, the
         # first of them builds each word's composite entry; the second meets
         # the word again and reads it from the table.
         _encode.cache_clear()  # start from an empty block table
@@ -589,10 +608,10 @@ class TestIntegerEngine:
         stepwise = _Walker(enc, seed)
         blocked = [_Walker(enc, seed), _Walker(enc, seed)]
         for k in range(1, n + 1):
-            i = stepwise.step()
+            stepwise.step()
             now = {"a": stepwise.a, "z": stepwise.z, "exponents": stepwise.exponents}
             for walker in blocked:
-                assert walker.step() == i
+                walker.step()
                 if k in reads:
                     assert getattr(walker, reads[k]) == now[reads[k]]
         for walker in blocked:
@@ -625,16 +644,20 @@ class TestIntegerEngine:
             m: _encode(_measure([(F(2), F(i), 1) for i in range(m)])).block
             for m in (1, 2, 3, 4, 9, 10, 90, 91)
         }
-        assert lengths == {1: 32, 2: 8, 3: 8, 4: 4, 9: 4, 10: 2, 90: 2, 91: 1}
+        assert lengths == {1: LANES, 2: 8, 3: 8, 4: 4, 9: 4, 10: 2, 90: 2, 91: 1}
 
     def test_law_past_the_table_walks_one_atom_at_a_time(self):
         # past _BLOCK_ENTRIES atoms no word of two atoms fits: the block stays 1
         mu = _measure([(F(2), F(i), 1) for i in range(walk._BLOCK_ENTRIES + 1)])
         assert _encode(mu).block == 1
-        traj = sample_path(mu, 40, 1)
-        reference, _ = _fraction_walk(mu, 1, 40)
-        assert traj.length == 40
+        n = LANES + 8  # one batch edge, then a tail
+        traj = sample_path(mu, n, 1)
+        reference, _ = _fraction_walk(mu, 1, n)
+        assert traj.length == n
         assert traj.steps == tuple(g for g, _, _ in reference)
+        walker = _step_walk(mu, n, 1)
+        _, a, z = reference[-1]
+        assert (walker.a, walker.z) == (a, z)
 
     def test_encoding_is_built_once_per_law(self, mu_rev, monkeypatch):
         cold = []
@@ -678,54 +701,58 @@ class TestIntegerEngine:
         assert enc.scale == 18
 
     @settings(max_examples=40, deadline=None)
-    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(8, 400))
+    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(8, 12 * LANES))
     @example(_MIXED, 5, 150)
     def test_bit_guard_matches_reference(self, atoms, seed, max_bits):
         mu = _measure(atoms)
         assume(not validate(mu).degenerate)
-        _, hit = _fraction_walk(mu, seed, 256, max_bits)
+        n = 8 * LANES  # eight checkpoints
+        _, hit = _fraction_walk(mu, seed, n, max_bits)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(walk, "DEFAULT_MAX_BITS", max_bits)
             if hit is None:
-                assert sample_path(mu, 256, seed).length == 256
+                assert _step_walk(mu, n, seed).count == n
                 return
             with pytest.raises(BudgetError) as info:
-                sample_path(mu, 256, seed)
+                _step_walk(mu, n, seed)
         step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
         assert (step, info.value.reached) == hit
 
     def test_bit_guard_counts_the_pending_slope(self, monkeypatch):
-        # no translation in the first 32 steps: the slope integer grows only
-        # in the flush's pending factor, which the flush at step 32 folds in
-        # before the guard bounds the state's size
+        # no translation in the first batch of LANES steps: the slope integer
+        # grows only in the flush's pending factor, which the flush at the
+        # batch edge folds in before the guard bounds the state's size
         mu = _measure([(F(2**30), F(0), 63), (F(1, 2), F(1), 1)])
-        reference, hit = _fraction_walk(mu, 0, 64, 100)
-        assert all(g.b == 0 for g, _, _ in reference[:32])
-        assert hit == (32, 963)
+        seed = next(
+            s for s in range(100) if all(g.b == 0 for g in sample_path(mu, LANES, s).steps)
+        )
+        _, hit = _fraction_walk(mu, seed, 2 * LANES, 100)
+        assert hit[0] == LANES
         monkeypatch.setattr(walk, "DEFAULT_MAX_BITS", 100)
         with pytest.raises(BudgetError) as info:
-            sample_path(mu, 64, 0)
-        assert info.value.reached == 963
-        assert "at step 32," in str(info.value)
+            _step_walk(mu, 2 * LANES, seed)
+        assert info.value.reached == hit[1]
+        assert f"at step {LANES}," in str(info.value)
 
     def test_bit_guard_boundaries(self, monkeypatch):
         # guards set at and just below each checkpoint's size: the walk must
         # stop at the first checkpoint strictly above the guard
         mu = _measure(_MIXED)
-        reference, _ = _fraction_walk(mu, 5, 256)
+        n = 8 * LANES  # eight checkpoints
+        reference, _ = _fraction_walk(mu, 5, n)
         sizes = [
             (k, _bits(a, z))
             for k, (_, a, z) in enumerate(reference, start=1)
-            if k % 32 == 0
+            if k % LANES == 0
         ]
         for guard in sorted({b - d for _, b in sizes for d in (0, 1)}):
             hit = next(((k, b) for k, b in sizes if b > guard), None)
             monkeypatch.setattr(walk, "DEFAULT_MAX_BITS", guard)
             if hit is None:
-                assert sample_path(mu, 256, 5).length == 256
+                assert _step_walk(mu, n, 5).count == n
                 continue
             with pytest.raises(BudgetError) as info:
-                sample_path(mu, 256, 5)
+                _step_walk(mu, n, 5)
             assert info.value.reached == hit[1]
             assert f"at step {hit[0]}," in str(info.value)
 
@@ -758,7 +785,7 @@ _wide_atoms = st.lists(
     st.tuples(_slopes, _translations, st.integers(1, 5)), min_size=1, max_size=20
 )
 # where advance stops: anywhere, or on a batch edge
-_stops = st.one_of(st.integers(0, 300), st.integers(0, 9).map(lambda k: 32 * k))
+_stops = st.one_of(st.integers(0, 3 * LANES), st.integers(0, 3).map(lambda k: LANES * k))
 
 
 class TestAdvance:
@@ -766,27 +793,35 @@ class TestAdvance:
     @given(_wide_atoms, st.integers(0, 2**64 - 1), st.integers(0, 80), _stops)
     @example(_MIXED, 5, 10, 10)  # m = 0
     @example(_MIXED, 5, 3, 20)  # inside one batch
-    @example(_MIXED, 5, 7, 64)  # onto a batch edge
-    @example(_MIXED, 5, 0, 32)  # exactly one batch
-    @example(_MIXED, 5, 40, 250)  # across several edges
+    @example(_MIXED, 5, 7, 2 * LANES)  # onto a batch edge
+    @example(_MIXED, 5, 0, LANES)  # exactly one batch
+    @example(_MIXED, 5, 40, 3 * LANES + 10)  # across several edges
     @example([(F(2), F(i), 1) for i in range(18)], 5, 11, 150)  # tuple batches
     def test_matches_repeated_step(self, atoms, seed, before, stop):
         enc = _encode(_measure(atoms))
         stepped, advanced = _Walker(enc, seed), _Walker(enc, seed)
-        for _ in range(before):
-            assert advanced.step() == stepped.step()
+        for walker in (stepped, advanced):
+            for _ in range(before):
+                walker.step()
+        assert _state(advanced) == _state(stepped)
         m = max(stop - before, 0)
         for _ in range(m):
             stepped.step()
         advanced.advance(m)
         assert advanced.count == before + m
         assert _state(advanced) == _state(stepped)
-        assert [advanced.step() for _ in range(64)] == [stepped.step() for _ in range(64)]
+        # and both go on to take the same atoms, across the next batch edge
+        for walker in (stepped, advanced):
+            for _ in range(LANES):
+                walker.step()
+        assert _state(advanced) == _state(stepped)
 
     @settings(max_examples=40, deadline=None)
-    @given(_atoms, st.integers(0, 2**64 - 1), st.integers(8, 400), st.integers(0, 40))
+    @given(
+        _atoms, st.integers(0, 2**64 - 1), st.integers(8, 12 * LANES), st.integers(0, LANES + 8)
+    )
     @example(_MIXED, 5, 150, 0)
-    @example(_MIXED, 5, 150, 33)
+    @example(_MIXED, 5, 150, LANES + 1)
     def test_bit_guard_trips_at_the_same_step(self, atoms, seed, max_bits, before):
         enc = _encode(_measure(atoms))
         stepped, advanced = _Walker(enc, seed), _Walker(enc, seed)
@@ -797,23 +832,23 @@ class TestAdvance:
             patch.setattr(walk, "DEFAULT_MAX_BITS", max_bits)
 
             def step_each():
-                for _ in range(256):
+                for _ in range(4 * LANES):
                     stepped.step()
 
             hit = _budget_stop(step_each)
-            assert _budget_stop(lambda: advanced.advance(256)) == hit
+            assert _budget_stop(lambda: advanced.advance(4 * LANES)) == hit
         assert advanced.count == stepped.count
         if hit is not None:
-            assert stepped.count % 32 == 0
+            assert stepped.count % LANES == 0
             assert f"at step {stepped.count}," in hit[0]
 
 
-def _reference_lock(walker, targets, margin, step_cap):
+def _reference_lock(walker, targets, margin, step_cap, *, seed):
     """The lock as one ``step`` call per step: the scanning lock's oracle.
 
     Every place, R among them, is one level v(A_n) that must stay at or above
     t - min v(b), with v_inf = -ln|.|; R's level is kept whether R is a
-    target or not.
+    target or not.  Each step's atom is read from the seed's stream.
     """
     enc = walker._enc
     levels = [*walker.exponents, -log_norm(walker.a, INFINITE_PLACE)]
@@ -821,12 +856,14 @@ def _reference_lock(walker, targets, margin, step_cap):
     moves = [(*entry[4], (real, v, 0)) for entry, v in zip(enc.steps, enc.v_inf)]
     index = enc.places.index
     slots = [(index(p), t - enc.min_vb[index(p)]) for p, t in targets.items()]
+    drawn = islice(_atom_stream(enc, seed), walker.count, None)
     step = walker.step
     held = 0
     while held < margin:
         if walker.count >= step_cap:
             raise StabilizationError(f"no lock within {step_cap} steps", steps=step_cap)
-        i = step()
+        step()
+        i = next(drawn)
         held += 1
         for j, v, _ in moves[i]:
             levels[j] += v
@@ -856,6 +893,7 @@ class TestLockOracle:
     )
     @example(_MIXED, 5, 0, 32, 300, None, None)
     @example(_MIXED, 5, 17, 8, 40, 1.0, None)
+    @example(_MIXED, 5, LANES - 8, 16, 300, None, None)  # across a batch edge
     @example(_REV, 9, 0, 32, 300, -10.0, None)  # R's level falls below its need
     @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 50, 32, 10, None, None)
     @example([(F(2), F(0), 3), (F(1, 2), F(1), 1)], 9, 0, 8, 300, None, None)
@@ -885,10 +923,14 @@ class TestLockOracle:
         # a small cap, so that many draws stop on it
         args = (targets, margin, before + room)
         assert _lock_outcome(_Walker.lock, scanned, *args) == _lock_outcome(
-            _reference_lock, stepped, *args
+            partial(_reference_lock, seed=seed), stepped, *args
         )
         assert _state(scanned) == _state(stepped)
-        assert [scanned.step() for _ in range(40)] == [stepped.step() for _ in range(40)]
+        # and both go on to take the same atoms, across the next batch edge
+        for walker in (scanned, stepped):
+            for _ in range(LANES):
+                walker.step()
+        assert _state(scanned) == _state(stepped)
 
 
 # a negative slope (P < 0), b = 0 atoms, several primes, and a b denominator

@@ -30,6 +30,8 @@ EXACT = "src/affwalk/exact.py"
 GROUP = "src/affwalk/group.py"
 MEASURE = "src/affwalk/measure.py"
 PADIC = "src/affwalk/padic.py"
+PRNG = "src/affwalk/prng.py"
+CLI = "src/affwalk/cli.py"
 WALK = "src/affwalk/walk.py"
 LOCK_ORACLE = "tests/test_walk.py::TestLockOracle"
 PROBE_ORACLE = "tests/test_walk.py::TestProbeOracle"
@@ -179,6 +181,28 @@ MUTANTS = [
         "m1 = den // d1",
         "m1 = 1",
         [SYMMETRY],
+    ),
+    # the batch width and the deferred subcommand parsers
+    (
+        "step() crosses a batch edge every 64 steps, while LANES is 128",
+        WALK,
+        "if not count % 128:",
+        "if not count % 64:",
+        ["tests/test_walk.py::TestAdvance::test_matches_repeated_step"],
+    ),
+    (
+        "_LANE_GAMMAS built over LANES - 1 lanes",
+        PRNG,
+        "for i in range(LANES))\n_LANES_GAMMA",
+        "for i in range(LANES - 1))\n_LANES_GAMMA",
+        ["tests/test_prng.py"],
+    ),
+    (
+        "the deferred subcommand parser drops action=\"append\" for --p",
+        CLI,
+        'action="append" if kind is _primes else "store",',
+        'action="store",',
+        ["tests/test_cli.py::test_subcommand_flag_sets"],
     ),
 ]
 
