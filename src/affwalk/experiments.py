@@ -17,7 +17,7 @@ import os
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, StabilizationError
@@ -33,7 +33,7 @@ from .exact import (
     log_norm_plus,
     valuation,
 )
-from .group import GAUGE_K_MAX, gauge_count_bound, gauge_enumerate
+from .group import GAUGE_K_MAX, _gauge_count, gauge_count_bound
 from .measure import (
     DEFAULT_CELL_BUDGET,
     StepDistribution,
@@ -258,9 +258,8 @@ def run_drift(mu: StepDistribution) -> Report:
 
 
 def run_gauge(k: float) -> Report:
-    elements = gauge_enumerate(k)
+    count = _gauge_count(k)
     bound = gauge_count_bound(k)
-    count = len(elements)
     rows = [
         Row("gauge", "", 0, 0, "count", float(count)),
         Row("gauge", "", 0, 0, "bound", bound),
@@ -358,10 +357,10 @@ def _grid_walk(encoding, seed: int, grid: Sequence[int], n: int) -> tuple[_Walke
     step = walker.step
     snaps = []
     for m in grid:
-        for _ in range(m - walker.count):
+        for _ in repeat(None, m - walker.count):
             step()
         snaps.append((walker.a, walker.z))
-    for _ in range(n - walker.count):
+    for _ in repeat(None, n - walker.count):
         step()
     return walker, snaps
 

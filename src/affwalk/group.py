@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Iterable
 
@@ -121,6 +122,15 @@ def _coprime_pairs_max_bounded(limit: float) -> Iterable[tuple[int, int]]:
                 yield r, s
 
 
+def _gauge_limit(k: float) -> float:
+    """The enumeration's radius with its tie tolerance, after the radius checks."""
+    if not math.isfinite(k):
+        raise ValueError(f"radius {k} is not finite")
+    if k > GAUGE_K_MAX:
+        raise ValueError(f"radius {k} above enumeration cap {GAUGE_K_MAX}")
+    return k + BOUNDARY_TOL
+
+
 def gauge_enumerate(k: float) -> list[AffineMap]:
     """All (a, b) with height(a) + height_plus(b) <= k, sorted canonically.
 
@@ -131,14 +141,10 @@ def gauge_enumerate(k: float) -> list[AffineMap]:
     height_plus(r'/s') = ln(max(r', s')) over coprime pairs; boundary ties
     are kept within BOUNDARY_TOL.
     """
-    if not math.isfinite(k):
-        raise ValueError(f"radius {k} is not finite")
-    if k > GAUGE_K_MAX:
-        raise ValueError(f"radius {k} above enumeration cap {GAUGE_K_MAX}")
+    limit = _gauge_limit(k)
     out: set[AffineMap] = set()
     if k < 0:
         return []
-    limit = k + BOUNDARY_TOL
     for r, s in _coprime_pairs_product_bounded(limit):
         remaining = limit - math.log(r * s)
         for a in (Fraction(r, s), Fraction(-r, s)):
@@ -148,3 +154,28 @@ def gauge_enumerate(k: float) -> list[AffineMap]:
                 out.add(AffineMap(a, b))
                 out.add(AffineMap(a, -b))
     return sorted(out, key=AffineMap.sort_key)
+
+
+def _gauge_count(k: float) -> int:
+    """``len(gauge_enumerate(k))``, counted without building the ball.
+
+    Each coprime (r, s) of the enumeration gives both signs of a = r/s, each
+    with b = 0 and with both signs of every coprime (r', s') of max at most
+    m, m read from the very float expression the enumeration reads.  No two
+    of those maps are equal.  The coprime pairs of max at most m number
+    C(m) = 2 * Phi(m) - 1, Phi the totient sum, and C(0) = 0.
+    """
+    limit = _gauge_limit(k)
+    if k < 0:
+        return 0
+    cap = _largest_int_with_log_at_most(limit)
+    phi = list(range(cap + 1))  # totient sieve
+    for i in range(2, cap + 1):
+        if phi[i] == i:
+            for j in range(i, cap + 1, i):
+                phi[j] -= phi[j] // i
+    pairs = [0, *(2 * t - 1 for t in accumulate(phi[1:]))]
+    return sum(
+        2 * (1 + 2 * pairs[_largest_int_with_log_at_most(limit - math.log(r * s))])
+        for r, s in _coprime_pairs_product_bounded(limit)
+    )

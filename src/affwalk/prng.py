@@ -14,10 +14,13 @@ is part of the external reproducibility contract:
 SplitMix64 seeded s.  ``SplitMix64``, ``pick_index`` and ``mix64`` are the
 reference path.  The walk engine draws ``LANES`` (128) outputs at a time on
 one packed integer, which holds exactly the outputs ``next_u64`` would give.
-For a law of at most ``PACKED_ATOMS`` atoms, ``pick_lanes`` also picks the
-``LANES`` atoms on that integer, one packed compare per threshold; a larger
-law reads the outputs from ``next_u64_lanes`` and picks each one with
-``pick_index``.
+It carries a packed counter (``lane_counter``) from batch to batch: lane i
+holds the finalizer's input for output i of the batch, and the next batch's
+counter is this one plus ``LANES`` gammas in every lane, one add and one
+mask.  For a law of at most ``PACKED_ATOMS`` atoms, ``pick_lanes`` also
+picks the ``LANES`` atoms on that integer, one packed compare per threshold;
+a larger law reads the outputs from ``next_u64_lanes`` and picks each one
+with ``pick_index``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ _LANE_MASK = _MASK * _ONES
 _CARRIES = _ONES << 64  # bit 64 of every lane's slot
 # lane i is next_u64 call i+1, and mix64 adds one gamma more
 _LANE_GAMMAS = sum((((i + 2) * _GAMMA) & _MASK) << (128 * i) for i in range(LANES))
-_LANES_GAMMA = (LANES * _GAMMA) & _MASK
+# one batch moves every lane on by LANES gammas
+_LANES_STEP = ((LANES * _GAMMA) & _MASK) * _ONES
 # Laws up to this many atoms pick on the packed integer: against pick_index
 # per lane, the packed compare measured faster below about 16 to 20 atoms.
 # A slot's count is one byte, so it could never take more than 256 atoms.
@@ -58,30 +62,38 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mixed_lanes(state: int) -> int:
-    """mix64(state + (i+1)*gamma) in lane i, for every lane of one packed integer.
+def lane_counter(seed: int) -> int:
+    """The packed counter of a stream's first batch: seed + (i+2)*gamma in lane i.
 
-    Every lane starts from ``state * _ONES``, and each mixing round masks
-    away what a shift carried in from the lane above.
+    ``seed`` is taken mod 2^64, as ``SplitMix64`` takes it.
     """
-    z = (state * _ONES + _LANE_GAMMAS) & _LANE_MASK
-    z = ((z ^ (z >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
+    return ((seed & _MASK) * _ONES + _LANE_GAMMAS) & _LANE_MASK
+
+
+def _mixed_lanes(counter: int) -> int:
+    """The finalizer of every lane of a packed counter, all but its last mask.
+
+    Each mixing round masks away what a shift carried in from the lane
+    above.  The last shift is left unmasked: it puts bits 0-30 of the lane
+    above in bits 97-127 of a lane's slot, which both readers ignore.
+    """
+    z = ((counter ^ (counter >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
     z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
-    return (z ^ (z >> 31)) & _LANE_MASK
+    return z ^ (z >> 31)
 
 
-def next_u64_lanes(state: int) -> tuple[int, memoryview]:
-    """The state after, and the outputs of, ``LANES`` next_u64 calls at ``state``.
+def next_u64_lanes(counter: int) -> tuple[int, memoryview]:
+    """The next batch's counter, and the ``LANES`` outputs of this one's.
 
-    ``state`` is taken mod 2^64, as ``SplitMix64`` takes its seed.
+    The outputs are those of ``LANES`` next_u64 calls; ``counter`` is
+    ``lane_counter`` of the state before them, or the counter a batch returned.
     """
-    state &= _MASK
-    z = _mixed_lanes(state)
+    z = _mixed_lanes(counter)
     words = memoryview(z.to_bytes(16 * LANES, sys.byteorder)).cast("Q")
     # the low word of each lane: every even word little-endian; big-endian
     # bytes are reversed, so every odd word taken backwards
     lanes = words[::2] if sys.byteorder == "little" else words[::-2]
-    return (state + _LANES_GAMMA) & _MASK, lanes
+    return (counter + _LANES_STEP) & _LANE_MASK, lanes
 
 
 def lane_offsets(thresholds: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -94,21 +106,22 @@ def lane_offsets(thresholds: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple((_SCALE - t) * _ONES for t in thresholds if t < _SCALE)
 
 
-def pick_lanes(state: int, offsets: Sequence[int]) -> tuple[int, bytes]:
-    """The state after ``LANES`` draws at ``state``, and each draw's ``pick_index``.
+def pick_lanes(counter: int, offsets: Sequence[int]) -> tuple[int, bytes]:
+    """The next batch's counter, and each draw's ``pick_index`` in this one.
 
-    A lane's draw u is at least a threshold t exactly when u + 2^64 - t
-    carries into bit 64 of its slot.  Summed over the thresholds below 2^64,
-    those carry bits count the thresholds at or below u, which is
-    ``bisect_right``; each slot's count is byte 8 of its 16 little-endian
-    bytes.  ``offsets`` is ``lane_offsets`` of the law's thresholds.
+    ``counter`` is as ``next_u64_lanes`` takes it.  A lane's draw u is at
+    least a threshold t exactly when u + 2^64 - t carries into bit 64 of its
+    slot; the sum fits below bit 65, so the bits above it never carry.
+    Summed over the thresholds below 2^64, those carry bits count the
+    thresholds at or below u, which is ``bisect_right``; each slot's count is
+    byte 8 of its 16 little-endian bytes.  ``offsets`` is ``lane_offsets`` of
+    the law's thresholds.
     """
-    state &= _MASK
-    z = _mixed_lanes(state)
+    z = _mixed_lanes(counter)
     counts = 0
     for c in offsets:
         counts += (z + c) & _CARRIES
-    return (state + _LANES_GAMMA) & _MASK, counts.to_bytes(16 * LANES, "little")[8::16]
+    return (counter + _LANES_STEP) & _LANE_MASK, counts.to_bytes(16 * LANES, "little")[8::16]
 
 
 class SplitMix64:

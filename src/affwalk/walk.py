@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetError, DegenerateMeasureError, StabilizationError
@@ -36,6 +36,7 @@ from .padic import expand
 from .prng import (
     LANES,
     cumulative_thresholds,
+    lane_counter,
     lane_offsets,
     next_u64_lanes,
     pick_index,
@@ -130,13 +131,13 @@ class _Encoding:
         (``pick_lanes``, yielding bytes); a law above ``PACKED_ATOMS`` atoms has
         none and picks lane by lane (yielding tuples).
         """
-        state = seed
+        counter = lane_counter(seed)
         if self.offsets is not None:
             while True:
-                state, atoms = pick_lanes(state, self.offsets)
+                counter, atoms = pick_lanes(counter, self.offsets)
                 yield atoms
         while True:
-            state, lanes = next_u64_lanes(state)
+            counter, lanes = next_u64_lanes(counter)
             yield tuple([pick_index(u, self.thresholds) for u in lanes])
 
     def entry(self, word: Sequence[int]) -> tuple:
@@ -182,32 +183,37 @@ class _Walker:
     P = A_n * D (which carries the sign); ``state`` reads (P, N, D).
 
     The atoms come in batches of ``LANES`` (128) draws, and a step's atom is
-    read only when its batch is applied.  ``step`` counts one step and
-    ``advance(m)`` counts m steps in one call.  Both cross each multiple of
+    read only when its batch is applied.  The walker counts down ``_left``,
+    the steps before the next batch edge ``_edge``, so the read-only
+    ``count`` is ``_edge - _left``.  ``step`` takes one step and
+    ``advance(m)`` takes m steps in one call.  Both cross each multiple of
     ``LANES`` through ``_next_batch``: the flush, the bit guard and the next
     batch.  ``_flush`` applies the steps drawn since the last flush as words
     of ``block`` steps, and the shorter tail as one word, by one composite
     entry each (see ``_Encoding``).  The flush carries P's pending factor as
-    two small integers, mul / div.  An entry first scales N, D and mul by
-    p**s for each prime p whose least prefix exponent falls s below the
-    floor, then adds the translation N += P * mul * C / (div * G) (one exact
-    division) when C != 0, then folds a = num / den into mul and div.  The
-    flush ends by bringing P up to date: one multiplication by mul, one
-    exact division by div.  Reads of ``a``, ``z``, ``state`` and
-    ``exponents`` flush first.  So after every flush P, N, D and the
-    exponents are those of stepping one atom at a time, and no step takes a
-    gcd.
+    two small integers, mul / div, and N's pending translation as one small
+    fraction: N still owes P * tn / (div * tg).  An entry first scales N, D,
+    mul and tn by p**s for each prime p whose least prefix exponent falls s
+    below the floor, then adds its translation P * mul * C / (div * G) to
+    the pending one when C != 0, then folds a = num / den into mul and div
+    (and den into tn, which keeps the pending value).  The flush ends by
+    bringing N and P up to date: N gains P * tn / (div * tg), one exact
+    division per flush, and P is multiplied by mul and divided exactly by
+    div.  Reads of ``a``, ``z``, ``state`` and ``exponents`` flush first.
+    So after every flush P, N, D and the exponents are those of stepping one
+    atom at a time, and no step takes a gcd.
 
     ``lock``, ``probe``, ``step`` and ``advance`` reach the state only through
     ``_flush``, ``_check_bits``, ``state``, ``exponents`` and ``a``.
     """
 
     __slots__ = (
-        "count", "_enc", "_batches", "_atoms", "_done", "_exponents", "_floor", "_p", "_n", "_d",
+        "_edge", "_left", "_enc", "_batches", "_atoms", "_done", "_exponents", "_floor",
+        "_p", "_n", "_d",
     )
 
     def __init__(self, enc: _Encoding, seed: int):
-        self.count = 0
+        self._left = self._edge = LANES
         self._enc = enc
         self._batches = enc.batches(seed)
         self._atoms = next(self._batches)
@@ -218,32 +224,36 @@ class _Walker:
         self._n = 0
         self._d = 1
 
+    @property
+    def count(self) -> int:
+        """Steps taken."""
+        return self._edge - self._left
+
     def step(self) -> None:
         """Take one step: count it, and at a batch edge apply the batch."""
-        self.count = count = self.count + 1
-        if not count % 128:  # 128 = LANES
+        self._left -= 1
+        if not self._left:
             self._next_batch()
 
     def advance(self, m: int) -> None:
         """Take m steps at once: the state ``step`` called m times leaves."""
-        count, target = self.count, self.count + m
-        while True:
-            edge = count - count % LANES + LANES
-            if edge > target:
-                self.count = target
-                return
-            self.count = count = edge
+        while m >= self._left:
+            m -= self._left
+            self._left = 0
             self._next_batch()
+        self._left -= m
 
     def _next_batch(self) -> None:
         """At a batch edge: apply the batch, run the bit guard, draw the next batch."""
         self._flush()
         self._check_bits()
         self._atoms = next(self._batches)
+        self._edge += LANES
+        self._left = LANES
 
     def _flush(self) -> None:
         """Apply the steps drawn since the last flush; see the class docstring."""
-        done, count = self._done, self.count
+        done, count = self._done, self._edge - self._left
         if done == count:
             return
         self._done = count
@@ -253,7 +263,8 @@ class _Walker:
         blocks, k = enc.blocks, enc.block
         primes, exponents, floor = enc.primes, self._exponents, self._floor
         p, n, d = self._p, self._n, self._d
-        mul = div = 1
+        mul = div = tg = 1
+        tn = 0
         for at in range(0, len(drawn), k):
             word = drawn[at:at + k]
             c, g, num, den, moves = blocks.get(word) or enc.entry(word)
@@ -264,13 +275,18 @@ class _Walker:
                     n *= s
                     d *= s
                     mul *= s
+                    tn *= s
                     floor[j] = e + low
                 exponents[j] = e + v
-            # x * g: Z picks up A b, which is P * C / G in N's units
+            # x * g: Z picks up A b, which is P * mul * C / (div * G) in N's units
             if c:
-                n += p * (mul * c) // (div * g)
+                tn = tn * g + mul * c * tg
+                tg *= g
             mul *= num
             div *= den
+            tn *= den
+        if tn:
+            n += p * tn // (div * tg)
         if mul != 1:
             p *= mul
         if div != 1:
@@ -391,7 +407,7 @@ class _Walker:
         scale = self._enc.scale
         _, n0, d0 = self.state
         step = self.step
-        for _ in range(margin):
+        for _ in repeat(None, margin):
             step()
         _, n1, d1 = self.state
         diff, den = n1 * d0 - n0 * d1, scale * d0 * d1

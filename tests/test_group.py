@@ -20,7 +20,7 @@ from affwalk import (
     log_norm_plus,
 )
 from affwalk.exact import parse_rational, support_primes
-from affwalk.group import BOUNDARY_TOL, format_affine
+from affwalk.group import BOUNDARY_TOL, _gauge_count, format_affine
 
 IDENTITY = AffineMap(1, 0)
 
@@ -154,6 +154,25 @@ class TestGauge:
         assert gauge_count_bound(0.0) == 6.0
         for k in (0.0, math.log(2), 1.0, 2.0, 3.0):
             assert len(gauge_enumerate(k)) <= gauge_count_bound(k)
+
+    # the enumeration's float ties: k = ln m, where a ball of b grows, and
+    # k = ln(r s) + ln m', where one more a keeps m' for its b; then each side
+    # of the tie that BOUNDARY_TOL shifts
+    @pytest.mark.parametrize(
+        "k",
+        [
+            -0.1, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0,
+            *(math.log(m) for m in (2, 3, 7, 20, 54)),
+            *(math.log(r * s) + math.log(m) for r, s, m in ((2, 3, 5), (3, 1, 4), (5, 2, 3))),
+            *(
+                math.nextafter(math.log(7) - BOUNDARY_TOL, side)
+                for side in (-math.inf, math.inf)
+            ),
+        ],
+        ids=repr,
+    )
+    def test_count_is_the_length_of_the_enumeration(self, k):
+        assert _gauge_count(k) == len(gauge_enumerate(k))
 
     def test_boundary_inclusion_tolerance(self):
         # k exactly ln2: elements at the boundary must be included

@@ -9,6 +9,7 @@ from affwalk.prng import (
     PACKED_ATOMS,
     SplitMix64,
     cumulative_thresholds,
+    lane_counter,
     lane_offsets,
     next_u64_lanes,
     pick_index,
@@ -26,14 +27,23 @@ def test_known_answers():
     ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-def test_lanes_match_sequential_draws(seed):
+_WRAPPING_SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, batches",
+    [*((seed, 3) for seed in _WRAPPING_SEEDS), (5, 40)],
+    ids=[*map(str, _WRAPPING_SEEDS), "40-batches"],
+)
+def test_lanes_match_sequential_draws(seed, batches):
+    # the counter is carried from batch to batch; a tracking walk of 4,032
+    # steps draws 32 batches, and every lane's counter wraps within 40
     rng = SplitMix64(seed)
-    state = seed
-    for _ in range(3):
-        state, lanes = next_u64_lanes(state)
+    counter = lane_counter(seed)
+    for _ in range(batches):
+        counter, lanes = next_u64_lanes(counter)
         assert list(lanes) == [rng.next_u64() for _ in range(LANES)]
-        assert state == rng.state
+        assert counter == lane_counter(rng.state)
 
 
 # three atoms, so every lane's draw goes through more than one threshold
@@ -86,9 +96,10 @@ def test_a_draw_on_a_threshold_picks_the_cell_above():
     thresholds = cumulative_thresholds([F(u, 2**64), 1 - F(u, 2**64)])
     assert thresholds == [u, 2**64]
     assert [pick_index(v, thresholds) for v in (u - 1, u, u + 1)] == [0, 1, 1]
-    _, atoms = pick_lanes(0, lane_offsets(thresholds))
+    _, atoms = pick_lanes(lane_counter(0), lane_offsets(thresholds))
     assert atoms[0] == 1
-    assert list(atoms) == [pick_index(v, thresholds) for v in next_u64_lanes(0)[1]]
+    draws = next_u64_lanes(lane_counter(0))[1]
+    assert list(atoms) == [pick_index(v, thresholds) for v in draws]
 
 
 def test_the_packed_pick_stops_at_the_cutoff():

@@ -100,6 +100,8 @@ _atoms = st.lists(
 _MIXED = [(F(6, 35), F(0), 2), (F(-3), F(5, 6), 1), (F(-1, 4), F(-2, 9), 1)]
 _REV = [(F(2), F(0), 3), (F(1, 2), F(1), 1)]
 _BIAS = [(F(2), F(0), 1), (F(1, 2), F(1), 3)]
+# test_symmetry's MU_DENS: b denominators 3, 4 and 7
+_DENS = [(F(2), F(1, 3), 2), (F(1, 2), F(-3, 4), 1), (F(2, 3), F(5, 7), 1)]
 # above PACKED_ATOMS atoms, so drawn lane by lane; its drift at 3 is 0, where
 # v_3(A_n) stays 0 and its divergence statistic is 0 whatever the draws, so
 # the tests read it on R too
@@ -580,6 +582,24 @@ class TestIntegerEngine:
         _, a, _ = reference[-1]
         assert walker.count == n
         assert walker.exponents == [valuation(a, p) for p in walker._enc.primes]
+
+    @pytest.mark.parametrize("atoms", [_REV, _DENS], ids=["rev", "dens"])
+    @pytest.mark.parametrize("seed", [3, 2**64 - 11])
+    def test_tracking_length_matches_fraction_reference(self, atoms, seed):
+        # prop44's walk: 4,032 steps, read at its grid, with operands of
+        # 3.9 kbit (_REV) to 7 kbit (_DENS) at the end; _DENS's b denominators
+        # 3, 4 and 7 make the translation denominator G vary from word to word
+        mu = _measure(atoms)
+        grid = (125, 250, 500, 1000, 4032)
+        reference, _ = _fraction_walk(mu, seed, grid[-1])
+        walker = _Walker(_encode(mu), seed)
+        for n in grid:
+            for _ in repeat(None, n - walker.count):
+                walker.step()
+            _, a, z = reference[n - 1]
+            assert (walker.a, walker.z) == (a, z)
+            assert walker.count == n
+        assert _bits(a, z) > 3_500
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -41,6 +41,10 @@ TINY_B = "tests/test_walk.py::TestExtractBoundary::test_translation_below_float_
 SYMMETRY = "tests/test_symmetry.py"
 NORM_ORACLE = "tests/test_exact.py::test_norms_read_valuation_as_their_old_formulas_did"
 WALK_BYTES = "tests/test_experiments.py::TestPinnedReports::test_walk_bytes"
+SPARSE_READS = "tests/test_walk.py::TestIntegerEngine::test_sparse_reads_match_fraction_reference"
+TRACKING_ORACLE = (
+    "tests/test_walk.py::TestIntegerEngine::test_tracking_length_matches_fraction_reference"
+)
 
 MUTANTS = [
     # the one lock-and-probe rule, R among the places
@@ -182,20 +186,41 @@ MUTANTS = [
         "m1 = 1",
         [SYMMETRY],
     ),
-    # the batch width and the deferred subcommand parsers
+    # the batch width, the walk kernel's fast paths and the deferred subcommand parsers
     (
-        "step() crosses a batch edge every 64 steps, while LANES is 128",
+        "the countdown refills 64 steps per batch, while LANES is 128",
         WALK,
-        "if not count % 128:",
-        "if not count % 64:",
+        "self._left = LANES",
+        "self._left = 64",
         ["tests/test_walk.py::TestAdvance::test_matches_repeated_step"],
+    ),
+    (
+        "the pending translation not scaled on a floor drop",
+        WALK,
+        "                    tn *= s\n",
+        "",
+        [SPARSE_READS, TRACKING_ORACLE],
+    ),
+    (
+        "the pending translation not scaled by a word's den",
+        WALK,
+        "            tn *= den\n",
+        "",
+        [SPARSE_READS, TRACKING_ORACLE],
     ),
     (
         "_LANE_GAMMAS built over LANES - 1 lanes",
         PRNG,
-        "for i in range(LANES))\n_LANES_GAMMA",
-        "for i in range(LANES - 1))\n_LANES_GAMMA",
+        "for i in range(LANES))\n# one batch",
+        "for i in range(LANES - 1))\n# one batch",
         ["tests/test_prng.py"],
+    ),
+    (
+        "the lane counter advanced without its mask",
+        PRNG,
+        "return (counter + _LANES_STEP) & _LANE_MASK, counts",
+        "return counter + _LANES_STEP, counts",
+        ["tests/test_prng.py::test_walker_draws_the_reference_atoms"],
     ),
     (
         "the deferred subcommand parser drops action=\"append\" for --p",
